@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -335,7 +334,7 @@ def _check_gensa2b_relation(seed: int, rec: Recorder) -> None:
 def _check_ai_coefficient(seed: int, rec: Recorder) -> None:
     # symbolic surface ring: h_2 a divisor class, c_2 a free degree-2 class
     sig = Signature.make([("h_2", 1), ("c_2", 2)])
-    s = ChowRing("S", sig, [], 2, "direct")
+    s = ChowRing("S", sig, [], 2)
     h2, c2 = s.var("h_2"), s.var("c_2")
     k2 = BundleClass(s, 2, [-h2, c2])
     perp = whitney_quotient(BundleClass.trivial(s, 6), dual(k2))
@@ -848,12 +847,20 @@ def _normalize_section(section: str) -> str:
 def select_checks(names: Optional[Sequence[str]] = None,
                   section: Optional[str] = None,
                   include_slow: bool = False) -> List[Check]:
-    """Checks to run: explicit names bypass the slow filter."""
+    """Checks to run: explicit names bypass the slow filter.
+
+    A section must name at least one section-specific check; the
+    cross-cutting checks (section "all") run with every section.
+    """
     if names:
         return [get_check(n) for n in names]
     chosen = list(_CHECKS)
     if section is not None:
         want = _normalize_section(section)
+        if want == "all" or not any(c.section == want for c in _CHECKS):
+            raise UnknownCheckError(
+                "no check belongs to section %r; `verify list` shows the "
+                "sections" % section)
         chosen = [c for c in chosen
                   if c.section == want or c.section == "all"]
     if not include_slow:
@@ -872,11 +879,6 @@ def run_check(check: Check, seed: int = DEFAULT_SEED) -> CheckResult:
                        seed, rec.failures == 0, rec.lines, millis)
 
 
-def run_checks(checks: Sequence[Check], seed: int = DEFAULT_SEED,
-               workers: int = 1) -> List[CheckResult]:
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: run_check(c, seed), checks))
-    else:
-        results = [run_check(c, seed) for c in checks]
-    return sorted(results, key=lambda r: r.name)
+def run_checks(checks: Sequence[Check],
+               seed: int = DEFAULT_SEED) -> List[CheckResult]:
+    return sorted((run_check(c, seed) for c in checks), key=lambda r: r.name)

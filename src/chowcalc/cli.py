@@ -34,8 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--slow", action="store_true",
                      help="with --all: include slow checks")
     run.add_argument("--format", choices=("text", "json"), default="text")
-    run.add_argument("--workers", type=int, default=1, metavar="N",
-                     help="run checks concurrently on N workers")
     run.add_argument("--seed", type=int, default=checks.DEFAULT_SEED,
                      help="seed for the sampled sub-checks")
 
@@ -92,6 +90,9 @@ def _cmd_run(args) -> int:
     if not args.all and not args.check:
         print("nothing to run: pass --all or --check NAME", file=sys.stderr)
         return 2
+    if args.section is not None and args.check:
+        print("--section applies to --all, not to --check", file=sys.stderr)
+        return 2
     try:
         selected = checks.select_checks(
             names=args.check, section=args.section,
@@ -99,8 +100,7 @@ def _cmd_run(args) -> int:
     except checks.UnknownCheckError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    workers = max(1, args.workers)
-    results = checks.run_checks(selected, seed=args.seed, workers=workers)
+    results = checks.run_checks(selected, seed=args.seed)
     if args.format == "json":
         _report_json(results, args.seed)
     else:

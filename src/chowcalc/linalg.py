@@ -4,10 +4,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .poly import as_fraction
+
 
 def mat(rows):
-    """Deep-copy a matrix, coercing entries to Fraction."""
-    return [[Fraction(x) for x in row] for row in rows]
+    """Deep-copy a matrix, coercing entries to Fraction (floats refused)."""
+    return [[x if type(x) is Fraction else as_fraction(x) for x in row]
+            for row in rows]
 
 
 def mat_mul(a, b):
@@ -25,9 +28,6 @@ def mat_mul(a, b):
             for j in range(m):
                 orow[j] += aval * brow[j]
     return out
-
-def mat_vec(a, v):
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
 
 
 def transpose(a):

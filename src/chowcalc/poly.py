@@ -58,6 +58,14 @@ class Signature:
         return tuple(zip(self.names, self.weights))
 
 
+def as_fraction(c) -> Fraction:
+    """An exact rational as a Fraction; floats and bools are refused."""
+    if isinstance(c, (float, bool)):
+        raise TypeError("coefficients must be exact rationals, not %s"
+                        % type(c).__name__)
+    return Fraction(c)
+
+
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -95,9 +103,10 @@ class Poly:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c:
-                    clean[tuple(mono)] = c
+                if type(coeff) is not Fraction:
+                    coeff = as_fraction(coeff)
+                if coeff:
+                    clean[tuple(mono)] = coeff
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
@@ -109,7 +118,7 @@ class Poly:
 
     @classmethod
     def constant(cls, sig: Signature, c) -> "Poly":
-        return cls(sig, {(0,) * len(sig): Fraction(c)})
+        return cls(sig, {(0,) * len(sig): c})
 
     @classmethod
     def one(cls, sig: Signature) -> "Poly":
@@ -181,7 +190,8 @@ class Poly:
         return result
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = as_fraction(c)
         return Poly(self.sig, {m: c * k for m, k in self.terms.items()})
 
     # predicates and parts -------------------------------------------------
@@ -260,10 +270,6 @@ class Poly:
                 terms[tuple(0 if j == i else e for j, e in enumerate(m))] = c
         return Poly(self.sig, terms)
 
-    def max_power(self, name: str) -> int:
-        i = self.sig.index(name)
-        return max((m[i] for m in self.terms), default=0)
-
     def evaluate(self, values: dict) -> Rat:
         """Full evaluation at a rational point given by {name: value}."""
         vals = []
@@ -279,17 +285,6 @@ class Poly:
                     prod *= v ** e
             total += prod
         return total
-
-    def map_to(self, sig: Signature, images: dict) -> "Poly":
-        """Ring map sending each variable to the given Poly in sig."""
-        out = Poly.zero(sig)
-        for m, c in self.terms.items():
-            piece = Poly.constant(sig, c)
-            for name, e in zip(self.sig.names, m):
-                if e:
-                    piece = piece * (images[name] ** e)
-            out = out + piece
-        return out
 
     # printing -------------------------------------------------------------
 

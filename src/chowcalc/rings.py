@@ -1,19 +1,21 @@
 """Presented Chow rings with exact integration.
 
-A ring is a graded quotient Q[vars]/I with a dimension and an integration
-rule.  Four kinds exist:
+A ring is a graded quotient Q[vars]/I, held through the reduced Groebner
+basis of I, with a dimension and a top-degree functional `top` that maps
+standard monomials of degree `dim` to their integrals (absent monomials
+integrate to 0).  Integrating a class is one dot product of `top` with its
+normal form.  Each constructor builds `top` once: from a normalization
+(tau, n) for presented rings, whose top piece must be one standard
+monomial; as the product of the factors' maps in product_ring; as
+zeta^(r-1) m -> integral over the base of m in projective_bundle, in the
+rank-one-quotient convention zeta^r - c1 zeta^(r-1) + ... + (-1)^r c_r = 0;
+from the exceptional-divisor rules in blowup_threefold_along_curve; and as
+m -> integral over P1^4 of m (alpha_1 + ... + alpha_4) for the
+hyperplane-section model FB.
 
-  direct    integration normalized by a pair (tau, n): the unique standard
-            monomial in top degree calibrated so that integral(tau) = n;
-  section   classes of an ambient ring, integrated against a fixed divisor
-            class (used for hyperplane-section models whose own top graded
-            piece is not visible in the ambient presentation);
-  bundle    Proj of a rank-r bundle over a base, in the rank-one-quotient
-            convention: zeta^r - c1 zeta^(r-1) + ... + (-1)^r c_r = 0,
-            pushforward of zeta^k is the coefficient rule (zeta^(r-1) -> 1),
-            relative canonical -r zeta + pi* c1;
-  blowup    blow-up of a threefold along a smooth curve, integration given
-            by the standard exceptional-divisor intersection rules.
+Derived rings never run Buchberger: they lift the reduced bases of their
+factors or base, and a bundle adds its tautological relation, whose lead
+zeta^r is coprime to every base lead.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from chowcalc.poly import (
     GroebnerBasis,
     Poly,
     Signature,
+    grevlex_key,
     monomials_of_degree,
     parse_poly,
 )
@@ -118,26 +121,20 @@ class ChowClass:
 
 
 class ChowRing:
-    def __init__(self, label, sig, relations, dim, kind, *,
-                 tau=None, n=None, ambient=None, divisor=None,
+    def __init__(self, label, sig, relations, dim, *,
+                 top=None, tau=None, n=None,
                  base=None, zeta=None, rank=None, chern=None,
-                 curve=None, genus=None, tangent_chern=None,
-                 gb=None):
+                 tangent_chern=None, gb=None):
         self.label = label
         self.sig = sig
         self.relations = list(relations)
         self.dim = dim
-        self.kind = kind
         self.tau = tau
         self.n = Fraction(n) if n is not None else None
-        self.ambient = ambient
-        self.divisor = divisor
         self.base = base
         self.zeta = zeta
         self.rank = rank
         self.chern = chern          # list of base Polys c_1..c_r
-        self.curve = curve          # base Poly, codim 2
-        self.genus = genus
         self.tangent_chern = tangent_chern  # list of Polys c_1..c_dim or None
         if gb is not None:
             self.gb = gb
@@ -145,7 +142,15 @@ class ChowRing:
             self.gb = GroebnerBasis(self.relations)
         else:
             self.gb = None
-        self._nf_tau_cache = None
+        if top is None and tau is not None:
+            t = self.normal_form(tau)
+            if len(t.terms) != 1 \
+                    or self.standard_monomials(dim) != [t.leading_monomial()]:
+                raise ValueError("top graded piece of %s is not visibly "
+                                 "one-dimensional" % label)
+            mono, coeff = t.leading_term()
+            top = {mono: self.n / coeff}
+        self.top = top  # top-degree standard monomial -> integral
 
     # element constructors -------------------------------------------------
 
@@ -172,22 +177,15 @@ class ChowRing:
     def normal_form(self, p: Poly) -> Poly:
         return self.gb.normal_form(p) if self.gb is not None else p
 
+    def standard_monomials(self, degree: int):
+        if self.gb is None:
+            return monomials_of_degree(self.sig, degree)
+        return self.gb.standard_monomials(degree)
+
     def hilbert_function(self, max_degree=None):
         if max_degree is None:
             max_degree = self.dim
-        if self.gb is None:
-            return [len(monomials_of_degree(self.sig, d))
-                    for d in range(max_degree + 1)]
-        return self.gb.hilbert_function(max_degree)
-
-    def tangent_class(self, i: int) -> ChowClass:
-        if self.tangent_chern is None:
-            raise ValueError("ring %s has no tangent data" % self.label)
-        if i == 0:
-            return self.one()
-        if i <= len(self.tangent_chern):
-            return ChowClass(self, self.tangent_chern[i - 1])
-        return self.zero()
+        return [len(self.standard_monomials(d)) for d in range(max_degree + 1)]
 
     # integration ----------------------------------------------------------
 
@@ -196,89 +194,31 @@ class ChowRing:
             raise ValueError("can only integrate classes of this ring")
         if not x.is_homogeneous():
             raise ValueError("cannot integrate an inhomogeneous class")
-        if x.is_zero():
-            return Fraction(0)
         if x.degree() != self.dim:
             return Fraction(0)
-        if self.kind == "direct":
-            return self._integrate_direct(x.rep)
-        if self.kind == "section":
-            lifted = ChowClass(self.ambient, x.rep * self.divisor)
-            return self.ambient.integrate(lifted)
-        if self.kind == "bundle":
-            gamma = self._zeta_coefficient(x.rep, self.rank - 1)
-            return self.base.integrate(ChowClass(self.base, gamma))
-        if self.kind == "blowup":
-            return self._integrate_blowup(x.rep)
-        raise AssertionError("unknown ring kind %r" % self.kind)
-
-    def _integrate_direct(self, nf: Poly) -> Fraction:
-        if self._nf_tau_cache is None:
-            t = self.gb.normal_form(self.tau) if self.gb else self.tau
-            if len(t.terms) != 1:
-                raise AssertionError(
-                    "top graded piece of %s is not visibly one-dimensional"
-                    % self.label)
-            self._nf_tau_cache = t.leading_term()
-        mono, coeff = self._nf_tau_cache
-        extra = {m: c for m, c in nf.terms.items() if m != mono}
-        if extra:
-            raise AssertionError(
-                "top-degree normal form of %s escaped the span of tau"
-                % self.label)
-        return nf.terms.get(mono, Fraction(0)) / coeff * self.n
-
-    def _zeta_coefficient(self, nf: Poly, power: int) -> Poly:
-        # zeta is the first signature variable of a bundle ring
-        terms = {}
-        for m, c in nf.terms.items():
-            if m[0] == power:
-                terms[m[1:]] = c
-        return Poly(self.base.sig, terms)
+        if self.top is None:
+            raise ValueError("ring %s has no integration rule" % self.label)
+        return sum((c * self.top.get(m, 0) for m, c in x.rep.terms.items()),
+                   Fraction(0))
 
     def pushforward(self, x: ChowClass) -> ChowClass:
         """pi_* to the base of a bundle ring (zeta-degree r-1 coefficient)."""
-        if self.kind != "bundle":
+        if self.rank is None:
             raise ValueError("pushforward needs a projective-bundle ring")
         if x.ring is not self:
             raise ValueError("class does not live on this ring")
-        return ChowClass(self.base,
-                         self._zeta_coefficient(x.rep, self.rank - 1))
+        terms = {m[1:]: c for m, c in x.rep.terms.items()
+                 if m[0] == self.rank - 1}
+        return ChowClass(self.base, Poly(self.base.sig, terms))
 
     def pullback(self, x: ChowClass) -> ChowClass:
         """pi^* from the base of a bundle ring (inject base variables)."""
-        if self.kind != "bundle":
+        if self.rank is None:
             raise ValueError("pullback needs a projective-bundle ring")
         if x.ring is not self.base:
             raise ValueError("class does not live on the base")
         terms = {(0,) + m: c for m, c in x.rep.terms.items()}
         return ChowClass(self, Poly(self.sig, terms))
-
-    def _integrate_blowup(self, nf: Poly) -> Fraction:
-        base = self.base
-        e_index = len(self.sig) - 1
-        total = Fraction(0)
-        for m, c in nf.terms.items():
-            k = m[e_index]
-            base_mono = m[:e_index]
-            base_poly = Poly(base.sig, {base_mono: c})
-            if k == 0:
-                total += base.integrate(ChowClass(base, base_poly))
-            elif k == 1:
-                continue  # e . pi^*(surface class) pushes to zero
-            elif k == 2:
-                # pi^*D . e^2 = -(D.C) [pt]
-                total += -base.integrate(
-                    ChowClass(base, base_poly * self.curve))
-            elif k == 3:
-                minus_k = base.tangent_chern[0]  # -K_base = c1(T_base)
-                normal_deg = base.integrate(
-                    ChowClass(base, minus_k * self.curve)) \
-                    + 2 * self.genus - 2
-                total += c * (-normal_deg)
-            else:
-                raise AssertionError("blow-up monomial above top degree")
-        return total
 
     def __repr__(self):
         return "ChowRing(%s, dim %d)" % (self.label, self.dim)
@@ -293,7 +233,7 @@ def projective_space(n: int, var: str = "h") -> ChowRing:
     tangent = [Poly.constant(sig, comb(n + 1, i)) * h ** i
                for i in range(1, n + 1)]
     return ChowRing("P%d" % n if var == "h" else "P%d[%s]" % (n, var),
-                    sig, [h ** (n + 1)], n, "direct",
+                    sig, [h ** (n + 1)], n,
                     tau=h ** n, n=1, tangent_chern=tangent)
 
 
@@ -308,12 +248,21 @@ def product_p1(k: int) -> ChowRing:
     for a in alphas:
         ct = ct * (Poly.one(sig) + 2 * a)
     tangent = [ct.homogeneous_part(i) for i in range(1, k + 1)]
-    return ChowRing("P1^%d" % k, sig, rels, k, "direct",
+    return ChowRing("P1^%d" % k, sig, rels, k,
                     tau=tau, n=1, tangent_chern=tangent)
 
 
+def _lifted_gb(sig: Signature, elements):
+    """Wrap an already reduced basis, in Buchberger's ascending-lead order."""
+    if not elements:
+        return None
+    elements = sorted(elements,
+                      key=lambda p: grevlex_key(sig, p.leading_monomial()))
+    return GroebnerBasis(elements, precomputed=True)
+
+
 def product_ring(a: ChowRing, b: ChowRing, label=None) -> ChowRing:
-    if a.kind != "direct" or b.kind != "direct":
+    if a.tau is None or b.tau is None:
         raise ValueError("product_ring needs two directly-normalized rings")
     clash = set(a.sig.names) & set(b.sig.names)
     if clash:
@@ -330,9 +279,10 @@ def product_ring(a: ChowRing, b: ChowRing, label=None) -> ChowRing:
 
     rels = [lift_a(r) for r in a.relations] + [lift_b(r) for r in b.relations]
     # disjoint variables: the union of the two reduced bases is itself reduced
-    merged = [lift_a(g) for g in a.gb.elements] + \
-             [lift_b(g) for g in b.gb.elements]
-    gb = GroebnerBasis(merged, precomputed=True)
+    gb = _lifted_gb(sig, [lift_a(g) for g in a.gb or ()]
+                    + [lift_b(g) for g in b.gb or ()])
+    top = {ma + mb: va * vb
+           for ma, va in a.top.items() for mb, vb in b.top.items()}
     tangent = None
     if a.tangent_chern is not None and b.tangent_chern is not None:
         ca = Poly.one(sig)
@@ -344,7 +294,7 @@ def product_ring(a: ChowRing, b: ChowRing, label=None) -> ChowRing:
         prod = ca * cb
         tangent = [prod.homogeneous_part(i) for i in range(1, a.dim + b.dim + 1)]
     return ChowRing(label or "%s x %s" % (a.label, b.label),
-                    sig, rels, a.dim + b.dim, "direct",
+                    sig, rels, a.dim + b.dim, top=top,
                     tau=lift_a(a.tau) * lift_b(b.tau), n=a.n * b.n,
                     tangent_chern=tangent, gb=gb)
 
@@ -352,14 +302,18 @@ def product_ring(a: ChowRing, b: ChowRing, label=None) -> ChowRing:
 def projective_bundle(base: ChowRing, chern, zeta: str, label=None) -> ChowRing:
     """Proj of a rank-r bundle with Chern classes c_1..c_r over the base.
 
-    chern is the list [c_1, ..., c_r] of base ChowClasses (or Polys); the
-    tautological relation uses the rank-one-quotient sign convention
-    zeta^r - c_1 zeta^(r-1) + c_2 zeta^(r-2) - ... = 0.
+    chern is the list [c_1, ..., c_r] of base ChowClasses (or Polys), each
+    homogeneous of its degree or zero; the tautological relation uses the
+    rank-one-quotient sign convention zeta^r - c_1 zeta^(r-1) + ... = 0.
     """
-    cherns = [c.rep if isinstance(c, ChowClass) else c for c in chern]
+    cherns = [base.normal_form(c.rep if isinstance(c, ChowClass) else c)
+              for c in chern]
     r = len(cherns)
     if zeta in base.sig.names:
         raise ValueError("zeta name clashes with a base variable")
+    for i, ci in enumerate(cherns, start=1):
+        if ci and (not ci.is_homogeneous() or ci.degree() != i):
+            raise ValueError("c_%d must be homogeneous of degree %d" % (i, i))
     sig = Signature((zeta,) + base.sig.names, (1,) + base.sig.weights)
 
     def lift(p: Poly) -> Poly:
@@ -369,15 +323,18 @@ def projective_bundle(base: ChowRing, chern, zeta: str, label=None) -> ChowRing:
     rel = z ** r
     for i, ci in enumerate(cherns, start=1):
         rel = rel + (-1) ** i * lift(ci) * z ** (r - i)
-    rels = [lift(q) for q in base.relations] + [rel]
+    # rel has lead zeta^r, coprime to every base lead, and a reduced tail
+    gb = _lifted_gb(sig, [lift(g) for g in base.gb or ()] + [rel])
+    top = {(r - 1,) + m: v for m, v in base.top.items()}
     return ChowRing(label or "Proj over %s" % base.label,
-                    sig, rels, base.dim + r - 1, "bundle",
+                    sig, [lift(q) for q in base.relations] + [rel],
+                    base.dim + r - 1, top=top, gb=gb,
                     base=base, zeta=zeta, rank=r, chern=cherns)
 
 
 def relative_canonical(pb: ChowRing) -> ChowClass:
     """omega of Proj(E) over the base: -r zeta + pi^* c_1(E)."""
-    if pb.kind != "bundle":
+    if pb.rank is None:
         raise ValueError("relative_canonical needs a projective-bundle ring")
     z = Poly.variable(pb.sig, pb.zeta)
     c1 = Poly(pb.sig, {(0,) + m: c for m, c in pb.chern[0].terms.items()})
@@ -405,10 +362,19 @@ def blowup_threefold_along_curve(base: ChowRing, curve, genus: int,
     def lift(p: Poly) -> Poly:
         return Poly(sig, {m + (0,): c for m, c in p.terms.items()})
 
-    rels = [lift(q) for q in base.relations]
+    def degree_on_curve(p: Poly) -> Fraction:
+        return base.integrate(ChowClass(base, p * curve_rep))
+
+    top = {m + (0,): v for m, v in base.top.items()}
+    for m in base.standard_monomials(1):
+        top[m + (2,)] = -degree_on_curve(Poly(base.sig, {m: 1}))
+    minus_k = base.tangent_chern[0]  # -K_base = c1(T_base)
+    top[(0,) * len(base.sig) + (3,)] = \
+        -(degree_on_curve(minus_k) + 2 * genus - 2)
     return ChowRing(label or "Bl %s" % base.label,
-                    sig, rels, 3, "blowup",
-                    base=base, curve=curve_rep, genus=genus)
+                    sig, [lift(q) for q in base.relations], 3, top=top,
+                    gb=_lifted_gb(sig, [lift(g) for g in base.gb or ()]),
+                    base=base)
 
 
 def integrate_on_hyperplane_section(ambient: ChowRing, hyperplane: ChowClass,
@@ -432,14 +398,14 @@ def catalog(name: str) -> ChowRing:
         sig = Signature.make([("h_2", 1), ("c_2", 2)])
         rels = [parse_poly("h_2^5 + 3*h_2*c_2^2 - 4*h_2^3*c_2", sig),
                 parse_poly("-h_2^4*c_2 + 3*h_2^2*c_2^2 - c_2^3", sig)]
-        return ChowRing("G26", sig, rels, 8, "direct",
+        return ChowRing("G26", sig, rels, 8,
                         tau=parse_poly("h_2^8", sig), n=14)
     if name == "Gw36":
         sig = Signature.make([("c_1'", 1), ("c_2'", 2), ("c_3'", 3)])
         rels = [parse_poly("c_3'^2", sig),
                 parse_poly("c_2'^2 - 2*c_1'*c_3'", sig),
                 parse_poly("c_1'^2 - 2*c_2'", sig)]
-        return ChowRing("Gw36", sig, rels, 6, "direct",
+        return ChowRing("Gw36", sig, rels, 6,
                         tau=parse_poly("c_1'^6", sig), n=16)
     if name == "B":
         sig = Signature.make([("h_3", 1)] +
@@ -450,15 +416,15 @@ def catalog(name: str) -> ChowRing:
         for i in range(1, 5):
             for j in range(i + 1, 5):
                 rels.append(parse_poly("8*a_%d*a_%d - h_3^4" % (i, j), sig))
-        return ChowRing("B", sig, rels, 4, "direct",
+        return ChowRing("B", sig, rels, 4,
                         tau=parse_poly("h_3^4", sig), n=16)
     if name == "FB":
-        ambient = catalog("P1^4")
-        divisor = parse_poly("alpha_1 + alpha_2 + alpha_3 + alpha_4",
-                             ambient.sig)
-        return ChowRing("FB", ambient.sig, list(ambient.relations), 3,
-                        "section", ambient=ambient, divisor=divisor,
-                        gb=ambient.gb)
+        p1_4 = catalog("P1^4")
+        divisor = parse_poly("alpha_1 + alpha_2 + alpha_3 + alpha_4", p1_4.sig)
+        top = {m: p1_4.integrate(p1_4.cls(Poly(p1_4.sig, {m: 1}) * divisor))
+               for m in p1_4.standard_monomials(3)}
+        return ChowRing("FB", p1_4.sig, list(p1_4.relations), 3,
+                        top=top, gb=p1_4.gb)
     if name == "I":
         fb = catalog("FB")
         h2 = parse_poly("alpha_1 + alpha_2 + alpha_3 + alpha_4", fb.sig)
@@ -492,9 +458,9 @@ def ring_to_doc(ring: ChowRing) -> str:
     `tangent <c_i>` lines.  Polynomials use the canonical printer, so
     serializing a reconstructed ring reproduces the document bit-exactly.
     """
-    if ring.kind != "direct":
+    if ring.tau is None:
         raise ValueError("only directly presented rings are exportable "
-                         "(%s has kind %r)" % (ring.label, ring.kind))
+                         "(%s has no normalization)" % ring.label)
     lines = ["ring %s" % ring.label, "dim %d" % ring.dim]
     for name, w in ring.sig.pairs():
         lines.append("var %s %d" % (name, w))
@@ -551,5 +517,5 @@ def ring_from_doc(text: str) -> ChowRing:
             raise ValueError("line %d: unknown key %r" % (lineno, key))
     if label is None or dim is None or tau is None:
         raise ValueError("document needs ring, dim, and normalize lines")
-    return ChowRing(label, need_sig(), rels, dim, "direct", tau=tau, n=n,
+    return ChowRing(label, need_sig(), rels, dim, tau=tau, n=n,
                     tangent_chern=tangent or None)

@@ -28,7 +28,7 @@ class TestRun:
 
     def test_repeatable_check_flag(self, capsys):
         code = main(["run", "--check", "deg-FB-24",
-                     "--check", "alphai-deg-6", "--workers", "2"])
+                     "--check", "alphai-deg-6"])
         assert code == 0
         out = capsys.readouterr().out
         assert "PASS alphai-deg-6" in out and "PASS deg-FB-24" in out
@@ -75,6 +75,18 @@ class TestRun:
         assert "PASS bott-six-weights" in out
         assert "PASS property-suites" in out
         assert "deg-G26-14" not in out
+
+    def test_unknown_section_exits_2(self, capsys):
+        assert main(["run", "--all", "--section", "9"]) == 2
+        captured = capsys.readouterr()
+        assert "section '9'" in captured.err
+        assert captured.out == ""
+
+    def test_section_with_check_exits_2(self, capsys):
+        assert main(["run", "--check", "deg-FB-24", "--section", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "--section" in captured.err
+        assert captured.out == ""
 
     def test_failing_check_exits_1(self, capsys):
         def body(seed, rec):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from chowcalc.linalg import (column_space_basis, det, identity, inverse,
-                             mat_mul, rank, rref, transpose)
+                             mat, mat_mul, rank, rref, transpose)
 
 
 def random_matrix(rng, n, m):
@@ -67,6 +67,16 @@ def test_inverse_round_trip():
 def test_inverse_rejects_singular():
     with pytest.raises(ValueError):
         inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+
+
+def test_mat_refuses_floats_and_bools():
+    assert mat([[1, Fraction(1, 2)], ["3/4", 0]]) == \
+        [[Fraction(1), Fraction(1, 2)], [Fraction(3, 4), Fraction(0)]]
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            mat([[1, bad]])
+        with pytest.raises(TypeError):
+            rank([[bad, 0], [0, 1]])
 
 
 def test_rref_pivots_are_strictly_increasing():

@@ -213,6 +213,12 @@ class TestQuasimonad:
         assert report.hilbert_values == [1, 6, 7, 10, 13, 16, 19, 22, 25]
         assert "3t+1" in report.detail
 
+    def test_minors_locus_pair_budget_applies(self):
+        report = minors_locus_hilbert(max_pairs=5)
+        assert report.status == "inconclusive"
+        assert report.hilbert_values == []
+        assert "budget" in report.detail
+
 
 class TestSymplecticModel:
     def test_pairing_and_isotropy(self):
@@ -290,3 +296,20 @@ class TestCongruenceModel:
         assert report.rank_off_section == 2
         assert report.rank_on_section == 1
         assert report.point_residuals_ok
+
+
+def test_wrong_cofactor_fails_the_congruence_report(monkeypatch):
+    right = CoordinateModel.section_cofactors
+
+    def wrong(model):
+        cofactors = right(model)
+        cofactors[1] = [(0, Poly.variable(model.sig, "lam"))]
+        return cofactors
+
+    monkeypatch.setattr(CoordinateModel, "section_cofactors", wrong)
+    report = congruence_model_check()
+    assert not report.ok
+    assert [flag for _, flag in report.memberships] == \
+        [True, False, True, True, True, True]
+    assert len(report.failures) == 1
+    assert "-mu*a" in report.failures[0]

@@ -110,6 +110,15 @@ class TestArithmetic:
                 total = total + part
             assert total == p
 
+    @pytest.mark.parametrize("bad", [0.1, 2.0, True, False])
+    def test_floats_and_bools_are_refused(self, bad):
+        with pytest.raises(TypeError):
+            Poly(XYZ, {(1, 0, 0): bad})
+        with pytest.raises(TypeError):
+            Poly.constant(XYZ, bad)
+        with pytest.raises(TypeError):
+            parse_poly("x + y", XYZ).scale(bad)
+
     def test_coefficient_of(self):
         p = parse_poly("x^2*y + 3*x*z - y", XYZ)
         assert p.coefficient_of("x", 2) == parse_poly("y", XYZ)

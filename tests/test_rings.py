@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from chowcalc.bundles import BundleClass, twist
 from chowcalc.linalg import rank
-from chowcalc.poly import GroebnerBasis, Poly, Signature, parse_poly
+from chowcalc.poly import (GroebnerBasis, Poly, Signature, buchberger,
+                           parse_poly)
 from chowcalc.rings import (ChowRing, blowup_threefold_along_curve, catalog,
                             integrate_on_hyperplane_section, product_p1,
                             product_ring, projective_bundle, projective_space,
@@ -194,6 +196,25 @@ class TestConstructors:
         assert bl.integrate(e * tb[0] * tb[1]) == 0
         assert bl.integrate(tb[0] * e ** 2) == -2
 
+    def test_top_piece_must_be_one_dimensional(self):
+        sig = Signature.make([("x", 1), ("y", 1)])
+        x, y = Poly.variable(sig, "x"), Poly.variable(sig, "y")
+        ring = ChowRing("Q", sig, [x * x, y * y], 2, tau=x * y, n=2)
+        assert ring.top == {(1, 1): 2}
+        with pytest.raises(ValueError):
+            ChowRing("Q3", sig, [x ** 3, y ** 3], 2, tau=x * y, n=1)
+        free = ChowRing("S", sig, [], 2)
+        with pytest.raises(ValueError):
+            free.integrate(free.var("x") * free.var("y"))
+
+    def test_bundle_chern_classes_must_be_homogeneous(self):
+        base = projective_space(2, var="t")
+        t = base.var("t")
+        with pytest.raises(ValueError):
+            projective_bundle(base, [(t * t).rep], "z")
+        with pytest.raises(ValueError):
+            projective_bundle(base, [(t + t * t).rep, (t * t).rep], "z")
+
     def test_hyperplane_section_integrals(self):
         g = catalog("G26")
         h2, c2 = g.var("h_2"), g.var("c_2")
@@ -201,6 +222,37 @@ class TestConstructors:
             g, h2, 4 * (h2 ** 2 - c2) ** 2 * h2 ** 3) == 24
         assert integrate_on_hyperplane_section(g, h2, h2 ** 7) == 14
         assert integrate_on_hyperplane_section(g, h2, h2 ** 5) == 0
+
+
+def _segre_birational_bundle():
+    b = catalog("B")
+    e1t = twist(BundleClass(b, 2, [-b.var("h_3"), b.var("a_1")]),
+                b.var("h_3"))
+    return projective_bundle(b, [e1t.c(1).rep, e1t.c(2).rep], "h",
+                             label="ProjE1")
+
+
+def _sextic_blowup():
+    base = catalog("P1^3")
+    curve = base.parse("2*alpha_2*alpha_3 + 2*alpha_1*alpha_3"
+                       " + 2*alpha_1*alpha_2")
+    return blowup_threefold_along_curve(base, curve, 1)
+
+
+class TestLiftedBases:
+    """Derived rings lift reduced bases; Buchberger is the reference."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: catalog("FB"),
+        lambda: catalog("I"),
+        lambda: catalog("Pi"),
+        _segre_birational_bundle,
+        _sextic_blowup,
+        lambda: product_ring(projective_space(1, var="sigma"), catalog("B")),
+    ], ids=["FB", "I", "Pi", "ProjE1", "blowup-P1^3", "P1xB"])
+    def test_basis_equals_buchberger(self, build):
+        ring = build()
+        assert ring.gb.elements == buchberger(ring.relations)
 
 
 class TestRingDocument:
