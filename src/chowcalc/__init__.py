@@ -5,7 +5,7 @@ from chowcalc.poly import (
     ParseError,
     Poly,
     Signature,
-    buchberger,
+    groebner_basis,
     parse_poly,
 )
 
@@ -14,7 +14,7 @@ __all__ = [
     "ParseError",
     "Poly",
     "Signature",
-    "buchberger",
+    "groebner_basis",
     "parse_poly",
 ]
 

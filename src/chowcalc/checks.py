@@ -346,15 +346,24 @@ def _check_ai_coefficient(seed: int, rec: Recorder) -> None:
                tw.c(2).rep.evaluate({"h_2": Fraction(1),
                                      "c_2": Fraction(1, 3)}),
                Fraction(4, 3))
+    _pulled_back_ai(rec, "sum of the pulled-back a_i classes")
+
+
+def _pulled_back_ai(rec: Recorder, label: str):
+    """h_3' and the classes h_3'(h_2 - a_i) + h_2(2 a_i - h_2) on I.
+
+    Claims, under `label`, that the four classes sum to (3/2) h_3'^2.
+    """
     ring = _ring("I")
     base = ring.base
     h3p = ring.var("h_3'")
     alphas = [ring.pullback(base.var("alpha_%d" % i)) for i in range(1, 5)]
-    h2i = sum(alphas, ring.zero())
-    pulled = [h3p * (h2i - ai) + h2i * (2 * ai - h2i) for ai in alphas]
-    rec.claim("sum of the pulled-back a_i classes = (3/2) h_3'^2",
+    h2 = sum(alphas, ring.zero())
+    pulled = [h3p * (h2 - ai) + h2 * (2 * ai - h2) for ai in alphas]
+    rec.claim("%s = (3/2) h_3'^2" % label,
               (sum(pulled, ring.zero())
                - Fraction(3, 2) * h3p ** 2).is_zero())
+    return h3p, pulled
 
 
 def _check_relative_canonical_i(seed: int, rec: Recorder) -> None:
@@ -391,14 +400,8 @@ def _check_pullback_sanity(seed: int, rec: Recorder) -> None:
 
 def _check_eii_pullback_identity(seed: int, rec: Recorder) -> None:
     ring = _ring("I")
-    base = ring.base
-    h3p = ring.var("h_3'")
-    alphas = [ring.pullback(base.var("alpha_%d" % i)) for i in range(1, 5)]
-    h2 = sum(alphas, ring.zero())
-    pulled = [h3p * (h2 - ai) + h2 * (2 * ai - h2) for ai in alphas]
-    rec.claim("sum of the four pulled-back surface classes = (3/2) h_3'^2",
-              (sum(pulled, ring.zero())
-               - Fraction(3, 2) * h3p ** 2).is_zero())
+    h3p, pulled = _pulled_back_ai(
+        rec, "sum of the four pulled-back surface classes")
     # the projection to B is generically 4:1, so products scale by 4
     rec.claim("E_i . h_3'^2 = 24 = 4 x 6 for all i",
               all(ring.integrate(e * h3p ** 2) == 24 for e in pulled))

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .linalg import det, identity, inverse, rank, rref, transpose
-from .poly import GroebnerBasis, Poly, Signature, buchberger, parse_poly
+from .poly import GroebnerBasis, Poly, Signature, parse_poly
 
 PENCIL_SIG = Signature.make((("u", 1), ("v", 1)))
 POINT_SIG = Signature.make(tuple(("z%d" % i, 1) for i in range(6)))
@@ -482,22 +482,15 @@ class MinorsLocusReport:
         return self.status in ("cubic", "inconclusive")
 
 
-def minors_locus_hilbert(cap: int = 8, max_pairs: int = 60000) -> MinorsLocusReport:
+def minors_locus_hilbert(cap: int = 8) -> MinorsLocusReport:
     """Hilbert function of the rank <= 1 locus of the right map.
 
     The generators are not saturated, so only the tail of the Hilbert
     function is compared against 3t + 1 (a degree-3 curve with constant
     term 1); at least four consecutive agreeing values are required.
     """
-    q = Quasimonad.built_in()
-    gens = q.minor_ideal_generators()
-    try:
-        gb = GroebnerBasis(buchberger(gens, max_pairs=max_pairs),
-                           precomputed=True)
-    except RuntimeError:
-        return MinorsLocusReport("inconclusive", [],
-                                 "Groebner pair budget exhausted")
-    values = gb.hilbert_function(cap)
+    gens = Quasimonad.built_in().minor_ideal_generators()
+    values = GroebnerBasis(gens).hilbert_function(cap)
     tail = 0
     for t in range(cap, 0, -1):
         if values[t] == 3 * t + 1:

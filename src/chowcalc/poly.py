@@ -7,6 +7,7 @@ coefficients are fractions.Fraction; nothing here ever touches a float.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -485,103 +486,90 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
     return mf * f - mg * g
 
 
-def buchberger(generators, max_pairs: int = 200000):
-    """Reduced Groebner basis by Buchberger's algorithm.
+def groebner_basis(generators):
+    """Reduced Groebner basis of a homogeneous ideal, one degree at a time.
 
-    Pair selection is by sugar degree (then lcm degree, then grevlex on the
-    lcm) for determinism; the coprime-lead criterion prunes useless pairs.
-    Output is the unique reduced basis, monic, sorted by ascending leading
-    monomial.
+    The degree-d piece I_d is spanned by the degree-d generators and by
+    x_i times the echelon rows of I_(d - w_i); its fully reduced echelon
+    form, with pivots at grevlex-largest monomials, has one row lead - NF(lead)
+    per lead monomial of degree d.  A lead that no earlier lead divides gives
+    a basis element.  Once d is past every generator degree and every lcm
+    degree of two non-coprime leads, each S-polynomial has reduced to zero
+    (Buchberger's criterion), so the basis is complete.  Output is monic,
+    sorted by ascending leading monomial.  Generators must be weighted
+    homogeneous.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return []
     sig = gens[0].sig
+    by_degree = {}
     for g in gens:
         if g.sig != sig:
             raise ValueError("generators live in different signatures")
-
+        if not g.is_homogeneous():
+            raise ValueError("generator %s is not homogeneous" % g)
+        by_degree.setdefault(g.degree(), []).append(g.terms)
+    n = len(sig)
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    echelon = {}  # degree -> fully reduced rows {pivot: {mono: coeff}}
     basis = []
-    sugars = []
-
-    def add(poly: Poly, sugar: int):
-        basis.append(poly.monic())
-        sugars.append(sugar)
-        return len(basis) - 1
-
-    for g in sorted(gens, key=lambda p: grevlex_key(sig, p.leading_monomial())):
-        add(g, g.degree())
-
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    processed = 0
-    while pairs:
-        processed += 1
-        if processed > max_pairs:
-            raise RuntimeError("Buchberger pair budget exhausted")
-
-        def pair_key(ij):
-            i, j = ij
-            li = basis[i].leading_monomial()
-            lj = basis[j].leading_monomial()
-            lcm = mono_lcm(li, lj)
-            d = sig.wdeg(lcm)
-            sugar = max(sugars[i] + d - sig.wdeg(li),
-                        sugars[j] + d - sig.wdeg(lj))
-            return (sugar, d, grevlex_key(sig, lcm), i, j)
-
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        li = basis[i].leading_monomial()
-        lj = basis[j].leading_monomial()
-        lcm = mono_lcm(li, lj)
-        if lcm == mono_mul(li, lj):  # coprime leads: S-poly reduces to zero
-            continue
-        s = s_polynomial(basis[i], basis[j])
-        s = reduce_poly(s, basis)
-        if s.is_zero():
-            continue
-        d = sig.wdeg(lcm)
-        sugar = max(sugars[i] + d - sig.wdeg(li),
-                    sugars[j] + d - sig.wdeg(lj))
-        k = add(s, max(sugar, s.degree()))
-        pairs.update((min(k, m), max(k, m)) for m in range(k))
-
-    return _reduce_basis(basis)
-
-
-def _reduce_basis(basis):
-    """Minimalize then inter-reduce; canonical ascending-lead order."""
-    sig = basis[0].sig
-    # drop elements whose lead is divisible by another's lead
-    keep = []
-    leads = [b.leading_monomial() for b in basis]
-    for i, b in enumerate(basis):
-        li = leads[i]
-        redundant = False
-        for j, lj in enumerate(leads):
-            if i == j:
+    leads = []
+    stop = max(by_degree)
+    d = min(by_degree)
+    while d <= stop:
+        order = {m: k for k, m in enumerate(sorted(
+            monomials_of_degree(sig, d), key=lambda m: grevlex_key(sig, m)))}
+        rows = itertools.chain(
+            (dict(terms) for terms in by_degree.get(d, ())),
+            ({mono_mul(m, x): c for m, c in row.items()}
+             for x, w in zip(units, sig.weights)
+             for row in echelon.get(d - w, {}).values()))
+        pivots = echelon[d] = _echelon(rows, order.__getitem__)
+        for lead in sorted(pivots, key=order.__getitem__):
+            if any(mono_divides(other, lead) for other in leads):
                 continue
-            if mono_divides(lj, li) and (lj != li or j < i):
-                redundant = True
+            for other in leads:
+                if any(a and b for a, b in zip(other, lead)):
+                    stop = max(stop, sig.wdeg(mono_lcm(other, lead)))
+            leads.append(lead)
+            basis.append(Poly(sig, pivots[lead]))
+        d += 1
+    return basis
+
+
+def _echelon(rows, key):
+    """Fully reduced echelon form of sparse rows: {pivot: monic row}.
+
+    Consumes the rows (dicts mono -> coeff, reduced in place).  Each pivot
+    is the row's largest monomial under `key`; after the back-substitution
+    no row holds another row's pivot.
+    """
+    pivots = {}
+    for row in rows:
+        while row:
+            lead = max(row, key=key)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = 1 / row[lead]
+                pivots[lead] = {m: c * inv for m, c in row.items()}
                 break
-        if not redundant:
-            keep.append(b)
-    # tail-reduce each against the rest until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keep)):
-            others = keep[:i] + keep[i + 1:]
-            r = reduce_poly(keep[i], others).monic()
-            if r.is_zero():
-                keep.pop(i)
-                changed = True
-                break
-            if r != keep[i]:
-                keep[i] = r
-                changed = True
-    keep.sort(key=lambda p: grevlex_key(sig, p.leading_monomial()))
-    return keep
+            _axpy(row, -row[lead], pivot)
+    for lead in sorted(pivots, key=key):
+        row = pivots[lead]
+        for m in [m for m in row if m != lead and m in pivots]:
+            _axpy(row, -row[m], pivots[m])
+    return pivots
+
+
+def _axpy(row, factor, other):
+    """row += factor * other, dropping cancelled entries."""
+    for m, c in other.items():
+        v = row.get(m, 0) + factor * c
+        if v:
+            row[m] = v
+        else:
+            del row[m]
 
 
 class GroebnerBasis:
@@ -592,7 +580,7 @@ class GroebnerBasis:
         if not gens:
             raise ValueError("need at least one nonzero generator")
         self.sig = gens[0].sig
-        self.elements = list(gens) if precomputed else buchberger(gens)
+        self.elements = list(gens) if precomputed else groebner_basis(gens)
         self.leads = [g.leading_monomial() for g in self.elements]
 
     def normal_form(self, p: Poly) -> Poly:

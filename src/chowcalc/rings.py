@@ -13,9 +13,10 @@ from the exceptional-divisor rules in blowup_threefold_along_curve; and as
 m -> integral over P1^4 of m (alpha_1 + ... + alpha_4) for the
 hyperplane-section model FB.
 
-Derived rings never run Buchberger: they lift the reduced bases of their
-factors or base, and a bundle adds its tautological relation, whose lead
-zeta^r is coprime to every base lead.
+Presented rings compute their reduced basis degree by degree
+(poly.groebner_basis).  Derived rings compute none: they lift the reduced
+bases of their factors or base, and a bundle adds its tautological
+relation, whose lead zeta^r is coprime to every base lead.
 """
 
 from __future__ import annotations
@@ -253,7 +254,7 @@ def product_p1(k: int) -> ChowRing:
 
 
 def _lifted_gb(sig: Signature, elements):
-    """Wrap an already reduced basis, in Buchberger's ascending-lead order."""
+    """Wrap an already reduced basis, sorted by ascending leading monomial."""
     if not elements:
         return None
     elements = sorted(elements,

@@ -213,11 +213,11 @@ class TestQuasimonad:
         assert report.hilbert_values == [1, 6, 7, 10, 13, 16, 19, 22, 25]
         assert "3t+1" in report.detail
 
-    def test_minors_locus_pair_budget_applies(self):
-        report = minors_locus_hilbert(max_pairs=5)
+    def test_minors_locus_under_a_short_cap_is_inconclusive(self):
+        report = minors_locus_hilbert(cap=3)
         assert report.status == "inconclusive"
-        assert report.hilbert_values == []
-        assert "budget" in report.detail
+        assert report.hilbert_values == [1, 6, 7, 10]
+        assert "cap 3" in report.detail
 
 
 class TestSymplecticModel:

@@ -7,7 +7,7 @@ import pytest
 
 from chowcalc.linalg import rank
 from chowcalc.poly import (GroebnerBasis, ParseError, Poly, Signature,
-                           buchberger, monomials_of_degree, parse_poly)
+                           groebner_basis, monomials_of_degree, parse_poly)
 
 XYZ = Signature.make([("x", 1), ("y", 1), ("z", 1)])
 WEIGHTED = Signature.make([("h", 1), ("c", 2), ("d", 3)])
@@ -141,12 +141,12 @@ class TestOrder:
 class TestGroebner:
     def test_monomial_ideal_is_its_own_basis(self):
         gens = [parse_poly("x^2", XYZ), parse_poly("y^2", XYZ)]
-        gb = buchberger(gens)
+        gb = groebner_basis(gens)
         assert sorted(str(p) for p in gb) == ["x^2", "y^2"]
 
     def test_coprime_leads_need_no_new_elements(self):
-        gens = [parse_poly("x^2 + y", XYZ), parse_poly("z^3", XYZ)]
-        gb = buchberger(gens)
+        gens = [parse_poly("x^2 + y*z", XYZ), parse_poly("z^3", XYZ)]
+        gb = groebner_basis(gens)
         assert len(gb) == 2
 
     def test_known_basis(self):
@@ -169,11 +169,14 @@ class TestGroebner:
             assert gb.normal_form(p * q) == gb.normal_form(n * gb.normal_form(q))
             assert gb.normal_form(p + q) == gb.normal_form(n + gb.normal_form(q))
 
-    def test_pair_budget_is_enforced(self):
-        gens = [parse_poly("x^2 - y*z", XYZ), parse_poly("x*y - z^2", XYZ),
-                parse_poly("y^3 - x*z^2", XYZ)]
-        with pytest.raises(RuntimeError):
-            buchberger(gens, max_pairs=1)
+    def test_non_homogeneous_generator_is_refused(self):
+        gens = [parse_poly("x^2 - y*z", XYZ), parse_poly("x^2 + y", XYZ)]
+        with pytest.raises(ValueError):
+            groebner_basis(gens)
+        with pytest.raises(ValueError):
+            GroebnerBasis(gens)
+        # weighted homogeneity is what counts: h^2 + c has degree 2 throughout
+        assert len(groebner_basis([parse_poly("h^2 + c", WEIGHTED)])) == 1
 
     def test_hilbert_function_against_rank_oracle(self):
         gb = GroebnerBasis([parse_poly("x^2 - y*z", XYZ),

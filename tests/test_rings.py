@@ -1,12 +1,15 @@
 """Ring catalog, integration anchors, and independently derived oracles."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from reference_groebner import buchberger
 
 from chowcalc.bundles import BundleClass, twist
 from chowcalc.linalg import rank
-from chowcalc.poly import (GroebnerBasis, Poly, Signature, buchberger,
+from chowcalc.pencil import Quasimonad
+from chowcalc.poly import (GroebnerBasis, Poly, Signature, grevlex_key,
                            parse_poly)
 from chowcalc.rings import (ChowRing, blowup_threefold_along_curve, catalog,
                             integrate_on_hyperplane_section, product_p1,
@@ -239,8 +242,13 @@ def _sextic_blowup():
     return blowup_threefold_along_curve(base, curve, 1)
 
 
+def _minors_ideal():
+    gens = Quasimonad.built_in().minor_ideal_generators()
+    return SimpleNamespace(gb=GroebnerBasis(gens), relations=gens)
+
+
 class TestLiftedBases:
-    """Derived rings lift reduced bases; Buchberger is the reference."""
+    """Every basis the program holds, graded or lifted, against Buchberger."""
 
     @pytest.mark.parametrize("build", [
         lambda: catalog("FB"),
@@ -249,10 +257,50 @@ class TestLiftedBases:
         _segre_birational_bundle,
         _sextic_blowup,
         lambda: product_ring(projective_space(1, var="sigma"), catalog("B")),
-    ], ids=["FB", "I", "Pi", "ProjE1", "blowup-P1^3", "P1xB"])
+        lambda: catalog("P5"),
+        lambda: catalog("P1^4"),
+        lambda: catalog("G26"),
+        lambda: catalog("Gw36"),
+        lambda: catalog("B"),
+        _minors_ideal,
+    ], ids=["FB", "I", "Pi", "ProjE1", "blowup-P1^3", "P1xB",
+            "P5", "P1^4", "G26", "Gw36", "B", "minors"])
     def test_basis_equals_buchberger(self, build):
         ring = build()
         assert ring.gb.elements == buchberger(ring.relations)
+
+
+XYZ = Signature.make([("x", 1), ("y", 1), ("z", 1)])
+
+
+class TestSympyOracle:
+    """Reduced grevlex bases of weight-1 ideals agree with sympy's."""
+
+    @pytest.mark.parametrize("gens", [
+        lambda: catalog("P1^4").relations,
+        lambda: catalog("P5").relations,
+        lambda: _minors_ideal().relations,
+        lambda: [parse_poly(t, XYZ) for t in ("x^2 - y^2", "x*y")],
+        lambda: [parse_poly(t, XYZ) for t in ("x^2 - y*z", "x*y - z^2")],
+        lambda: [parse_poly(t, XYZ)
+                 for t in ("x^2 - y*z", "x*y - z^2", "y^3 - x*z^2")],
+    ], ids=["P1^4", "P5", "minors", "xyz-a", "xyz-b", "xyz-c"])
+    def test_basis_equals_sympy(self, gens):
+        sympy = pytest.importorskip("sympy")
+        gens = gens()
+        sig = gens[0].sig
+        symbols = sympy.symbols(sig.names)
+        exprs = [sympy.Poly.from_dict(
+                    {m: sympy.Rational(c.numerator, c.denominator)
+                     for m, c in g.terms.items()}, symbols).as_expr()
+                 for g in gens]
+        reference = [
+            Poly(sig, {m: Fraction(int(c.p), int(c.q))
+                       for m, c in p.terms()}).monic()
+            for p in sympy.groebner(exprs, *symbols, order="grevlex",
+                                    domain="QQ").polys]
+        reference.sort(key=lambda p: grevlex_key(sig, p.leading_monomial()))
+        assert GroebnerBasis(gens).elements == reference
 
 
 class TestRingDocument:
