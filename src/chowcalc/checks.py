@@ -581,7 +581,7 @@ def _check_gw_point_oracle(seed: int, rec: Recorder) -> None:
 
 def _check_cubic_locus(seed: int, rec: Recorder) -> None:
     report = pencil.minors_locus_hilbert(cap=8)
-    # an inconclusive cap-limited run is acceptable; a mismatch is not
+    # only a tail that reaches 3t+1 passes; an inconclusive run fails
     rec.claim("rank-1 locus status %r (%s)" % (report.status, report.detail),
               report.ok)
     rec.note("Hilbert values %s" % (report.hilbert_values,))

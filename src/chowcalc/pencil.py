@@ -238,7 +238,7 @@ def _rational_projective_root(g: Poly) -> Optional[str]:
     if ml > 0:
         return "[1:0]"
     # rational root search on the dehomogenized core g(t, 1)
-    from math import gcd as igcd
+    from math import gcd as igcd, isqrt
     denom = 1
     for c in core:
         denom = denom * c.denominator // igcd(denom, c.denominator)
@@ -246,9 +246,11 @@ def _rational_projective_root(g: Poly) -> Optional[str]:
     lead, const = ints[-1], ints[0]
 
     def divisors(n):
+        # ascending; pairs d <= isqrt(n) with n // d, so O(sqrt n) steps
         n = abs(n)
-        out = [d for d in range(1, n + 1) if n % d == 0]
-        return out or [1]
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        large = [n // d for d in reversed(small) if d * d != n]
+        return small + large or [1]
 
     for p in divisors(const):
         for q in divisors(lead):
@@ -479,7 +481,8 @@ class MinorsLocusReport:
 
     @property
     def ok(self) -> bool:
-        return self.status in ("cubic", "inconclusive")
+        # an inconclusive run decided nothing, so it is not a pass
+        return self.status == "cubic"
 
 
 def minors_locus_hilbert(cap: int = 8) -> MinorsLocusReport:

@@ -451,10 +451,20 @@ def reduce_poly(p: Poly, divisors) -> Poly:
 
     Every monomial of the result is divisible by no leading monomial of the
     divisors.  Deterministic: always cancels the largest reducible monomial.
+
+    When every divisor is a single term, the remainder is the terms of p
+    that no divisor divides, read off without the division loop.  It is the
+    loop's own answer for any such list, Groebner basis or not: cancelling
+    a term by a monomial deletes that term and adds no other, so the loop
+    only ever drops the divisible terms of p and keeps the rest.
     """
     divisors = [d for d in divisors if not d.is_zero()]
-    leads = [(d.leading_monomial(), d) for d in divisors]
     sig = p.sig
+    if all(len(d.terms) == 1 for d in divisors):
+        monos = [next(iter(d.terms)) for d in divisors]
+        return Poly(sig, {m: c for m, c in p.terms.items()
+                          if not any(mono_divides(l, m) for l in monos)})
+    leads = [(d.leading_monomial(), d) for d in divisors]
     remainder = {}
     work = dict(p.terms)
     while work:

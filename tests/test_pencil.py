@@ -15,7 +15,8 @@ from chowcalc.pencil import (BETA_TEXT, FLATTENING_TEXT, PENCIL_SIG,
                              is_isotropic, minors_locus_hilbert, pfaffian,
                              plucker_abxy, quasimonad_checks, rank_one_point,
                              rank_two_point, sub_pfaffians,
-                             symplectic_product, _y_coordinates)
+                             symplectic_product, _rational_projective_root,
+                             _y_coordinates)
 from chowcalc.poly import Poly, parse_poly
 
 SEED = 20260826
@@ -125,6 +126,20 @@ class TestBinaryFormGcd:
             binary_form_gcd([q("u + 1")])
 
 
+class TestRationalRoot:
+    def test_smallest_root_in_divisor_order(self):
+        assert _rational_projective_root(q("u^2 - u*v")) == "[0:1]"
+        assert _rational_projective_root(q("u*v - v^2")) == "[1:0]"
+        assert _rational_projective_root(q("4*u^2 + 4*u*v - 3*v^2")) == "[1/2:1]"
+        assert _rational_projective_root(q("3*u^2 - 12*v^2")) == "[2:1]"
+        assert _rational_projective_root(q("u^2 + v^2")) is None
+
+    def test_large_constant_term(self):
+        # divisors are listed up to the square root: 10^12 has 169 of them
+        root = _rational_projective_root(q("u - 1000000000000*v"))
+        assert root == "[1000000000000:1]"
+
+
 class TestCertificate:
     def test_built_in_is_certified(self):
         cert = constant_rank_certificate(SkewPencil.built_in())
@@ -218,6 +233,8 @@ class TestQuasimonad:
         assert report.status == "inconclusive"
         assert report.hilbert_values == [1, 6, 7, 10]
         assert "cap 3" in report.detail
+        assert not report.ok
+        assert minors_locus_hilbert(cap=8).ok
 
 
 class TestSymplecticModel:
