@@ -13,8 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .poly import as_int
+
 RHO = (3, 2, 1)
-CANONICAL_TWIST = 4  # index of the Lagrangian Grassmannian LG(3,6)
 
 # group elements encoded as ((i0,s0),(i1,s1),(i2,s2)):
 # (g v)[k] = s_k * v[i_k]
@@ -54,7 +55,7 @@ def weyl_group_c3():
 
 
 def validate_weight(w):
-    w = tuple(int(x) for x in w)
+    w = tuple(as_int(x) for x in w)
     if len(w) != 3:
         raise ValueError("a C3 weight here has exactly three entries")
     if not (w[0] >= w[1] >= w[2]):
@@ -124,13 +125,6 @@ def cohomology(w):
     length, gv = hits[0]
     lam = tuple(x - r for x, r in zip(gv, RHO))
     return length, weyl_dim_c3(lam)
-
-
-def serre_dual_weight(w):
-    """Weight of the Serre-dual bundle: dual twisted by the canonical O(-4)."""
-    w = validate_weight(w)
-    return (-w[2] - CANONICAL_TWIST, -w[1] - CANONICAL_TWIST,
-            -w[0] - CANONICAL_TWIST)
 
 
 def bott_report(w):

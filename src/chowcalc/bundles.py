@@ -49,10 +49,7 @@ class BundleClass:
         return self.ring.zero()
 
     def total_chern(self) -> ChowClass:
-        total = self.ring.one()
-        for c in self.chern:
-            total = total + c
-        return total
+        return sum(self.chern, self.ring.one())
 
     def __eq__(self, other):
         if not isinstance(other, BundleClass):
@@ -84,10 +81,7 @@ def _series_inverse(total: ChowClass) -> ChowClass:
         for i in range(1, d + 1):
             acc = acc + parts[i] * inv[d - i]
         inv.append(-acc)
-    out = ring.zero()
-    for p in inv:
-        out = out + p
-    return out
+    return sum(inv, ring.zero())
 
 
 def whitney_sum(e: BundleClass, f: BundleClass) -> BundleClass:
@@ -230,10 +224,7 @@ def _exp_class(x: ChowClass) -> ChowClass:
         power = power * x
         out = out + Fraction(1, factorial(k)) * power
     # graded truncation keeps later products small
-    acc = ring.zero()
-    for d in range(ring.dim + 1):
-        acc = acc + ring.cls(out.rep.homogeneous_part(d))
-    return acc
+    return sum(_graded_parts(out, ring.dim), ring.zero())
 
 
 def tangent_bundle(ring: ChowRing) -> BundleClass:
@@ -245,9 +236,7 @@ def tangent_bundle(ring: ChowRing) -> BundleClass:
 
 def hrr_chi(e: BundleClass) -> Fraction:
     """Euler characteristic by Hirzebruch-Riemann-Roch."""
-    ring = e.ring
-    mixed = chern_character(e) * todd_class(tangent_bundle(ring))
-    return ring.integrate(ring.cls(mixed.rep.homogeneous_part(ring.dim)))
+    return chi_of_character(e.ring, chern_character(e))
 
 
 def chi_of_character(ring: ChowRing, ch: ChowClass) -> Fraction:
@@ -276,8 +265,4 @@ def grr_push_curve(ambient: ChowRing, genus: int, curve_class: ChowClass,
     chi_c = Fraction(sheaf_degree) + 1 - genus
     pushed = curve_class + chi_c * point_class
     td_inv = _series_inverse(todd_class(tangent_bundle(ambient)))
-    mixed = pushed * td_inv
-    acc = ambient.zero()
-    for d in range(n + 1):
-        acc = acc + ambient.cls(mixed.rep.homogeneous_part(d))
-    return acc
+    return sum(_graded_parts(pushed * td_inv, n), ambient.zero())

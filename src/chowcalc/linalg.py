@@ -8,26 +8,19 @@ from .poly import as_fraction
 
 
 def mat(rows):
-    """Deep-copy a matrix, coercing entries to Fraction (floats refused)."""
-    return [[x if type(x) is Fraction else as_fraction(x) for x in row]
-            for row in rows]
-
-
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    assert all(len(row) == k for row in a), "inner dimensions disagree"
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            aval = a[i][t]
-            if not aval:
-                continue
-            brow = b[t]
-            orow = out[i]
-            for j in range(m):
-                orow[j] += aval * brow[j]
+    """Deep-copy a matrix of equal-length rows into Fractions (no floats)."""
+    out = [[x if type(x) is Fraction else as_fraction(x) for x in row]
+           for row in rows]
+    if any(len(row) != len(out[0]) for row in out):
+        raise ValueError("matrix rows have unequal lengths")
     return out
+
+
+def _square(rows, what: str):
+    m = mat(rows)
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("%s needs a square matrix" % what)
+    return m
 
 
 def transpose(a):
@@ -69,9 +62,8 @@ def rank(rows) -> int:
 
 
 def det(rows) -> Fraction:
-    m = mat(rows)
+    m = _square(rows, "determinant")
     n = len(m)
-    assert all(len(row) == n for row in m), "determinant needs a square matrix"
     sign = 1
     result = Fraction(1)
     for c in range(n):
@@ -90,20 +82,10 @@ def det(rows) -> Fraction:
     return sign * result
 
 
-def column_space_basis(rows):
-    """Columns of the input forming a basis of its column space.
-
-    Deterministic: keeps the leftmost independent columns (rref pivots).
-    Returned as a list of column vectors.
-    """
-    _, pivots = rref(rows)
-    cols = transpose(rows)
-    return [list(map(Fraction, cols[j])) for j in pivots]
-
-
 def inverse(rows):
-    n = len(rows)
-    aug = [list(map(Fraction, row)) + identity(n)[i] for i, row in enumerate(rows)]
+    m = _square(rows, "inverse")
+    n = len(m)
+    aug = [row + e for row, e in zip(m, identity(n))]
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")

@@ -317,15 +317,6 @@ def flatten_rank() -> int:
     return rank(flattening_matrix())
 
 
-def elementary_skew(i: int, j: int, scale: Poly, n: int = 6):
-    """n x n matrix with scale in slot (i, j), -scale in (j, i), zeros else."""
-    zero = Poly.zero(scale.sig)
-    m = [[zero for _ in range(n)] for _ in range(n)]
-    m[i][j] = scale
-    m[j][i] = -scale
-    return m
-
-
 # ---------------------------------------------------------------------------
 # The three-term complex attached to the flattening.
 #
@@ -519,11 +510,6 @@ CONGRUENCE_SIG = Signature.make(
     + tuple(("x%d" % i, 1) for i in range(6))
     + tuple(("y%d" % i, 1) for i in range(5)))
 
-FULL_SIG = Signature.make(
-    (("a", 1), ("b", 1))
-    + tuple(("x%d" % i, 1) for i in range(6))
-    + tuple(("y%d" % i, 1) for i in range(6)))
-
 
 def _sym3(sig: Signature, stem: str):
     v = [Poly.variable(sig, "%s%d" % (stem, i)) for i in range(6)]
@@ -618,35 +604,15 @@ def graph_plane(s):
 
 
 class CoordinateModel:
-    """Equations and incidence ideal for the congruence coordinates.
+    """Incidence ideal for the congruence coordinates.
 
-    The symmetric matrices are encoded with six variables each (x5 and y5
-    sit in the middle slot); the tangent hyperplane identifies y5 with y2,
-    turning Y into a Hankel matrix in the incidence signature.
+    The symmetric X is encoded with six variables (x5 sits in the middle
+    slot); the tangent hyperplane identifies Y's middle slot with y2,
+    turning Y into a Hankel matrix in y0..y4.
     """
 
     def __init__(self):
         self.sig = CONGRUENCE_SIG
-        self.full_sig = FULL_SIG
-
-    def gw_equations(self) -> List[Poly]:
-        """The 27 quadratic equations in the full (a, b, x, y) signature."""
-        sig = self.full_sig
-        a = Poly.variable(sig, "a")
-        b = Poly.variable(sig, "b")
-        x = _sym3(sig, "x")
-        y = _sym3(sig, "y")
-        ax = adjugate3(x)
-        ay = adjugate3(y)
-        yx = _mat3_mul(y, x)
-        zero = Poly.zero(sig)
-        eqs = []
-        for i in range(3):
-            for j in range(3):
-                eqs.append(ax[i][j] - a * y[i][j])
-                eqs.append(ay[i][j] - b * x[i][j])
-                eqs.append(yx[i][j] - (a * b if i == j else zero))
-        return eqs
 
     def incidence_generators(self) -> List[Poly]:
         """Bidegree (*, 1) equations of the incidence of the conic pencil."""

@@ -8,6 +8,7 @@ coefficients are fractions.Fraction; nothing here ever touches a float.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +34,7 @@ class Signature:
             if not _IDENT_RE.fullmatch(name):
                 raise ValueError("invalid variable name: %r" % (name,))
         for w in self.weights:
-            if not isinstance(w, int) or w <= 0:
+            if as_int(w) <= 0:
                 raise ValueError("weights must be positive integers")
 
     @staticmethod
@@ -55,9 +56,6 @@ class Signature:
     def wdeg(self, mono: Monomial) -> int:
         return sum(w * e for w, e in zip(self.weights, mono))
 
-    def pairs(self):
-        return tuple(zip(self.names, self.weights))
-
 
 def as_fraction(c) -> Fraction:
     """An exact rational as a Fraction; floats and bools are refused."""
@@ -65,6 +63,13 @@ def as_fraction(c) -> Fraction:
         raise TypeError("coefficients must be exact rationals, not %s"
                         % type(c).__name__)
     return Fraction(c)
+
+
+def as_int(x) -> int:
+    """An exact integer; floats, bools and other non-integers are refused."""
+    if isinstance(x, (float, bool)):
+        raise TypeError("expected an integer, not %s" % type(x).__name__)
+    return operator.index(x)
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -230,12 +235,6 @@ class Poly:
     def homogeneous_part(self, d: int) -> "Poly":
         return Poly(self.sig, {m: c for m, c in self.terms.items()
                                if self.sig.wdeg(m) == d})
-
-    def homogeneous_parts(self) -> dict:
-        out = {}
-        for m, c in self.terms.items():
-            out.setdefault(self.sig.wdeg(m), {})[m] = c
-        return {d: Poly(self.sig, t) for d, t in sorted(out.items())}
 
     def sorted_terms(self):
         """Terms in descending monomial order."""
@@ -597,9 +596,6 @@ class GroebnerBasis:
         if p.sig != self.sig:
             raise ValueError("polynomial signature does not match basis")
         return reduce_poly(p, self.elements)
-
-    def contains(self, p: Poly) -> bool:
-        return self.normal_form(p).is_zero()
 
     def standard_monomials(self, degree: int):
         """Monomials of the given weighted degree outside the lead ideal."""

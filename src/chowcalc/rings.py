@@ -122,9 +122,15 @@ class ChowClass:
 
 
 class ChowRing:
+    """A presented ring and its top-degree functional, as described above.
+
+    A projective bundle also passes `base` and `chern`, the base Polys
+    c_1..c_r (zeros included): its `rank` is len(chern) and its bundle
+    variable `zeta` is sig.names[0], where projective_bundle puts it.
+    """
+
     def __init__(self, label, sig, relations, dim, *,
-                 top=None, tau=None, n=None,
-                 base=None, zeta=None, rank=None, chern=None,
+                 top=None, tau=None, n=None, base=None, chern=None,
                  tangent_chern=None, gb=None):
         self.label = label
         self.sig = sig
@@ -133,9 +139,9 @@ class ChowRing:
         self.tau = tau
         self.n = Fraction(n) if n is not None else None
         self.base = base
-        self.zeta = zeta
-        self.rank = rank
-        self.chern = chern          # list of base Polys c_1..c_r
+        self.chern = chern
+        self.rank = len(chern) if chern is not None else None
+        self.zeta = sig.names[0] if chern is not None else None
         self.tangent_chern = tangent_chern  # list of Polys c_1..c_dim or None
         if gb is not None:
             self.gb = gb
@@ -330,7 +336,7 @@ def projective_bundle(base: ChowRing, chern, zeta: str, label=None) -> ChowRing:
     return ChowRing(label or "Proj over %s" % base.label,
                     sig, [lift(q) for q in base.relations] + [rel],
                     base.dim + r - 1, top=top, gb=gb,
-                    base=base, zeta=zeta, rank=r, chern=cherns)
+                    base=base, chern=cherns)
 
 
 def relative_canonical(pb: ChowRing) -> ChowClass:
@@ -446,77 +452,3 @@ def catalog(name: str) -> ChowRing:
     if name.startswith("P") and name[1:].isdigit():
         return projective_space(int(name[1:]))
     raise KeyError("unknown catalog ring %r" % name)
-
-
-# catalog export/import ------------------------------------------------------
-
-
-def ring_to_doc(ring: ChowRing) -> str:
-    """Serialize a directly presented ring to a structured text document.
-
-    Lines: `ring <label>`, `dim <d>`, `var <name> <weight>` per variable,
-    `rel <poly>` per relation, `normalize <tau> <n>`, and optional
-    `tangent <c_i>` lines.  Polynomials use the canonical printer, so
-    serializing a reconstructed ring reproduces the document bit-exactly.
-    """
-    if ring.tau is None:
-        raise ValueError("only directly presented rings are exportable "
-                         "(%s has no normalization)" % ring.label)
-    lines = ["ring %s" % ring.label, "dim %d" % ring.dim]
-    for name, w in ring.sig.pairs():
-        lines.append("var %s %d" % (name, w))
-    for rel in ring.relations:
-        lines.append("rel %s" % rel)
-    lines.append("normalize %s %s" % (ring.tau, ring.n))
-    if ring.tangent_chern is not None:
-        for c in ring.tangent_chern:
-            lines.append("tangent %s" % c)
-    return "\n".join(lines) + "\n"
-
-
-def ring_from_doc(text: str) -> ChowRing:
-    """Rebuild a directly presented ring from its text document."""
-    label = None
-    dim = None
-    pairs = []
-    rels = []
-    tau = None
-    n = None
-    tangent = []
-    sig = None
-
-    def need_sig() -> Signature:
-        nonlocal sig
-        if sig is None:
-            if not pairs:
-                raise ValueError("var lines must precede polynomial lines")
-            sig = Signature.make(pairs)
-        return sig
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if key == "ring":
-            label = rest
-        elif key == "dim":
-            dim = int(rest)
-        elif key == "var":
-            name, w = rest.split()
-            pairs.append((name, int(w)))
-        elif key == "rel":
-            rels.append(parse_poly(rest, need_sig()))
-        elif key == "normalize":
-            body, _, num = rest.rpartition(" ")
-            tau = parse_poly(body, need_sig())
-            n = Fraction(num)
-        elif key == "tangent":
-            tangent.append(parse_poly(rest, need_sig()))
-        else:
-            raise ValueError("line %d: unknown key %r" % (lineno, key))
-    if label is None or dim is None or tau is None:
-        raise ValueError("document needs ring, dim, and normalize lines")
-    return ChowRing(label, need_sig(), rels, dim, tau=tau, n=n,
-                    tangent_chern=tangent or None)

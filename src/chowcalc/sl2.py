@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from .poly import as_int
 
 
 class SL2Rep:
@@ -13,14 +13,10 @@ class SL2Rep:
     def __init__(self, weights=()):
         if isinstance(weights, int):
             weights = [weights]
-        ws = sorted(int(w) for w in weights)
+        ws = sorted(as_int(w) for w in weights)
         if ws and ws[0] < 0:
             raise ValueError("highest weights must be nonnegative")
         self.parts = tuple(ws)
-
-    @classmethod
-    def irreducible(cls, n: int) -> "SL2Rep":
-        return cls([n])
 
     def dim(self) -> int:
         return sum(w + 1 for w in self.parts)
@@ -39,9 +35,6 @@ class SL2Rep:
             for b in other.parts:
                 out.extend(range(abs(a - b), a + b + 1, 2))
         return SL2Rep(out)
-
-    def multiplicity(self, n: int) -> int:
-        return Counter(self.parts)[n]
 
     def __eq__(self, other):
         if not isinstance(other, SL2Rep):
@@ -104,7 +97,7 @@ def monomial_section_count(multidegree, divisor_class=None) -> int:
     to a divisor of that class instead (kernel has all sections of the
     difference, no first cohomology in the cases used here).
     """
-    ds = [int(d) for d in multidegree]
+    ds = [as_int(d) for d in multidegree]
     if any(d < 0 for d in ds):
         return 0
     total = 1
@@ -112,7 +105,7 @@ def monomial_section_count(multidegree, divisor_class=None) -> int:
         total *= d + 1
     if divisor_class is None:
         return total
-    es = [int(e) for e in divisor_class]
+    es = [as_int(e) for e in divisor_class]
     if len(es) != len(ds):
         raise ValueError("divisor class length mismatch")
     diff = [d - e for d, e in zip(ds, es)]

@@ -5,13 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from chowcalc.linalg import (column_space_basis, det, identity, inverse,
-                             mat, mat_mul, rank, rref, transpose)
+from chowcalc.linalg import det, identity, inverse, mat, rank, rref
 
 
 def random_matrix(rng, n, m):
     return [[Fraction(rng.randint(-6, 6)) for _ in range(m)]
             for _ in range(n)]
+
+
+def _mat_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+             for col in zip(*b)] for row in a]
 
 
 def test_rank_of_constructed_outer_products():
@@ -49,7 +53,7 @@ def test_det_triangular_and_multiplicative():
         assert det(t) == prod
         a = random_matrix(rng, n, n)
         b = random_matrix(rng, n, n)
-        assert det(mat_mul(a, b)) == det(a) * det(b)
+        assert det(_mat_mul(a, b)) == det(a) * det(b)
 
 
 def test_inverse_round_trip():
@@ -61,12 +65,29 @@ def test_inverse_round_trip():
         if det(a) == 0:
             continue
         built += 1
-        assert mat_mul(a, inverse(a)) == identity(n)
+        assert _mat_mul(a, inverse(a)) == identity(n)
 
 
 def test_inverse_rejects_singular():
     with pytest.raises(ValueError):
         inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+
+
+def test_mat_refuses_ragged_rows():
+    with pytest.raises(ValueError):
+        mat([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        rank([[1], [0, 1]])
+
+
+def test_det_and_inverse_refuse_non_square_input():
+    # a ValueError, not an assert: the check must survive python -O
+    with pytest.raises(ValueError):
+        det([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError):
+        inverse([[1, 2, 3], [0, 1, 4]])
+    with pytest.raises(ValueError):
+        inverse([[1, 0], [0, 1], [0, 0]])
 
 
 def test_mat_refuses_floats_and_bools():
@@ -79,6 +100,12 @@ def test_mat_refuses_floats_and_bools():
             rank([[bad, 0], [0, 1]])
 
 
+def test_inverse_refuses_floats_and_bools():
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            inverse([[bad, 0], [0, 1]])
+
+
 def test_rref_pivots_are_strictly_increasing():
     rng = random.Random(14)
     for _ in range(100):
@@ -87,13 +114,3 @@ def test_rref_pivots_are_strictly_increasing():
         assert list(pivots) == sorted(set(pivots))
         for row, col in enumerate(pivots):
             assert reduced[row][col] == 1
-
-
-def test_column_space_basis_spans_and_prefers_leftmost():
-    a = [[Fraction(1), Fraction(2), Fraction(0)],
-         [Fraction(2), Fraction(4), Fraction(1)]]
-    basis = column_space_basis(a)
-    # column 2 is twice column 1, so the basis is columns 0 and 2
-    cols = transpose(a)
-    assert basis == [cols[0], cols[2]]
-    assert rank(basis) == rank(a)

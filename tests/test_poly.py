@@ -101,15 +101,6 @@ class TestArithmetic:
         assert p.is_homogeneous()
         assert not parse_poly("h + c", WEIGHTED).is_homogeneous()
 
-    def test_homogeneous_parts_recombine(self):
-        rng = random.Random(404)
-        for _ in range(50):
-            p = random_poly(rng, WEIGHTED)
-            total = Poly.zero(WEIGHTED)
-            for part in p.homogeneous_parts().values():
-                total = total + part
-            assert total == p
-
     @pytest.mark.parametrize("bad", [0.1, 2.0, True, False])
     def test_floats_and_bools_are_refused(self, bad):
         with pytest.raises(TypeError):
@@ -124,6 +115,17 @@ class TestArithmetic:
         assert p.coefficient_of("x", 2) == parse_poly("y", XYZ)
         assert p.coefficient_of("x", 1) == parse_poly("3*z", XYZ)
         assert p.coefficient_of("x", 0) == parse_poly("-y", XYZ)
+
+
+class TestSignature:
+    @pytest.mark.parametrize("bad", [True, 1.0, 1.5, "1"])
+    def test_non_integer_weights_are_refused(self, bad):
+        with pytest.raises(TypeError):
+            Signature(("x",), (bad,))
+
+    def test_nonpositive_weights_are_refused(self):
+        with pytest.raises(ValueError):
+            Signature(("x",), (0,))
 
 
 class TestOrder:
@@ -153,9 +155,9 @@ class TestGroebner:
         gens = [parse_poly("x^2 - y^2", XYZ), parse_poly("x*y", XYZ)]
         gb = GroebnerBasis(gens)
         # x*y^2 and y^3 are forced into the reduced basis
-        assert gb.contains(parse_poly("y^3", XYZ))
-        assert gb.contains(parse_poly("x^3", XYZ))
-        assert not gb.contains(parse_poly("x^2", XYZ))
+        assert gb.normal_form(parse_poly("y^3", XYZ)).is_zero()
+        assert gb.normal_form(parse_poly("x^3", XYZ)).is_zero()
+        assert not gb.normal_form(parse_poly("x^2", XYZ)).is_zero()
 
     def test_normal_form_properties_seeded(self):
         gb = GroebnerBasis([parse_poly("x^2 - y*z", XYZ),

@@ -14,7 +14,7 @@ from chowcalc.poly import (GroebnerBasis, Poly, Signature, grevlex_key,
 from chowcalc.rings import (ChowRing, blowup_threefold_along_curve, catalog,
                             integrate_on_hyperplane_section, product_p1,
                             product_ring, projective_bundle, projective_space,
-                            relative_canonical, ring_from_doc, ring_to_doc)
+                            relative_canonical)
 
 
 def ballot_path_count(steps_up, steps_down):
@@ -129,6 +129,19 @@ class TestCatalog:
         assert pi.dim == 4
         assert pi.integrate(sigma * h ** 3) == 1
         assert pi.integrate(2 * h * sigma * (h + 2 * sigma) ** 2) == 2
+
+    def test_pi_rank_counts_zero_chern_classes(self):
+        # c(E) = 1 + 2 sigma, with c_2 = c_3 = c_4 = 0, still has rank 4
+        pi = catalog("Pi")
+        assert pi.rank == 4
+        assert pi.zeta == "h"
+        assert str(relative_canonical(pi)) == "-4*h + 2*sigma"
+
+    @pytest.mark.parametrize("keyword", [{"zeta": "h"}, {"rank": 2}])
+    def test_rank_and_zeta_are_not_constructor_inputs(self, keyword):
+        p1 = catalog("P1")
+        with pytest.raises(TypeError):
+            ChowRing("X", p1.sig, p1.relations, 1, **keyword)
 
     def test_integration_degree_rules(self):
         p3 = catalog("P3")
@@ -302,30 +315,3 @@ class TestSympyOracle:
         reference.sort(key=lambda p: grevlex_key(sig, p.leading_monomial()))
         assert GroebnerBasis(gens).elements == reference
 
-
-class TestRingDocument:
-    @pytest.mark.parametrize("name", ["P3", "P1^4", "G26", "Gw36", "B"])
-    def test_round_trip_is_bit_exact(self, name):
-        ring = catalog(name)
-        doc = ring_to_doc(ring)
-        rebuilt = ring_from_doc(doc)
-        assert ring_to_doc(rebuilt) == doc
-        assert rebuilt.sig == ring.sig
-        assert rebuilt.relations == ring.relations
-        assert rebuilt.dim == ring.dim
-        assert rebuilt.tau == ring.tau and rebuilt.n == ring.n
-
-    def test_rebuilt_ring_computes(self):
-        rebuilt = ring_from_doc(ring_to_doc(catalog("B")))
-        assert rebuilt.integrate(rebuilt.var("h_3") ** 4) == 16
-
-    def test_constructed_models_do_not_export(self):
-        for name in ("FB", "I", "Pi"):
-            with pytest.raises(ValueError):
-                ring_to_doc(catalog(name))
-
-    def test_tangent_data_round_trips(self):
-        ring = product_p1(2)
-        doc = ring_to_doc(ring)
-        rebuilt = ring_from_doc(doc)
-        assert rebuilt.tangent_chern == ring.tangent_chern

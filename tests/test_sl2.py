@@ -12,7 +12,8 @@ N_CASES = 200
 
 class TestClebschGordan:
     def test_small_tensor_products(self):
-        s = SL2Rep.irreducible
+        def s(n):
+            return SL2Rep([n])
         assert s(1) * s(1) == SL2Rep([0, 2])
         assert s(2) * s(3) == SL2Rep([1, 3, 5])
         assert s(0) * s(7) == s(7)
@@ -35,13 +36,16 @@ class TestClebschGordan:
     def test_sum_and_multiplicity(self):
         rep = SL2Rep([2, 2, 4]) + SL2Rep([0])
         assert rep.parts == (0, 2, 2, 4)
-        assert rep.multiplicity(2) == 2
-        assert rep.multiplicity(1) == 0
         assert rep.dim() == 12
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             SL2Rep([-1])
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True])
+    def test_non_integer_weight_rejected(self, bad):
+        with pytest.raises(TypeError):
+            SL2Rep([bad])
 
     def test_zero_rep(self):
         zero = SL2Rep()
@@ -110,6 +114,13 @@ class TestSectionCounts:
     def test_divisor_length_mismatch(self):
         with pytest.raises(ValueError):
             monomial_section_count((1, 1, 1), (1, 1))
+
+    @pytest.mark.parametrize("bad", [1.9, 1.0, True])
+    def test_non_integer_degrees_rejected(self, bad):
+        with pytest.raises(TypeError):
+            monomial_section_count((bad, 1))
+        with pytest.raises(TypeError):
+            monomial_section_count((1, 1), (bad, 0))
 
     def test_restriction_matches_direct_count(self):
         rng = random.Random(SEED + 3)
