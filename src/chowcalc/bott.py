@@ -1,57 +1,20 @@
 """Borel-Weil-Bott bookkeeping in type C3.
 
 Weights (a1 >= a2 >= a3, integers) label irreducible homogeneous bundles on
-the 6-dimensional Lagrangian Grassmannian; rho = (3,2,1).  Cohomology is
-located by brute-force search over the 48-element Weyl group (signed
-permutations with lengths from breadth-first search on the three simple
-reflections), and dimensions come from the Weyl dimension formula over the
-nine positive roots e_i - e_j, e_i + e_j, 2 e_i.
+the 6-dimensional Lagrangian Grassmannian; rho = (3,2,1).  By Bott's
+theorem a regular w + rho has cohomology in one degree only: the number of
+the nine positive roots e_i - e_j, e_i + e_j, 2 e_i on which w + rho pairs
+negatively.  Its dimension is the Weyl dimension formula at the dominant
+weight |w + rho| (entries sorted decreasingly) - rho.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .poly import as_int
 
 RHO = (3, 2, 1)
-
-# group elements encoded as ((i0,s0),(i1,s1),(i2,s2)):
-# (g v)[k] = s_k * v[i_k]
-_IDENT = ((0, 1), (1, 1), (2, 1))
-_GENS = (
-    ((1, 1), (0, 1), (2, 1)),    # swap coordinates 1,2
-    ((0, 1), (2, 1), (1, 1)),    # swap coordinates 2,3
-    ((0, 1), (1, 1), (2, -1)),   # negate coordinate 3
-)
-
-
-def _apply(g, v):
-    return tuple(s * v[i] for i, s in g)
-
-
-def _compose(g, h):
-    """(g o h) v = g(h(v))."""
-    return tuple((h[i][0], s * h[i][1]) for i, s in g)
-
-
-@lru_cache(maxsize=1)
-def weyl_group_c3():
-    """All 48 signed permutations with their Coxeter lengths."""
-    lengths = {_IDENT: 0}
-    frontier = [_IDENT]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in _GENS:
-                gs = _compose(g, s)
-                if gs not in lengths:
-                    lengths[gs] = lengths[g] + 1
-                    nxt.append(gs)
-        frontier = nxt
-    assert len(lengths) == 48, "W(C3) must have 48 elements"
-    return dict(lengths)
 
 
 def validate_weight(w):
@@ -108,23 +71,19 @@ def weyl_dim_c3(lam):
 def cohomology(w):
     """(degree, dimension) of the unique nonzero cohomology, or None.
 
-    Brute force: find the Weyl element sorting w + rho to a strictly
-    decreasing positive vector; its length is the cohomological degree.
+    For regular v = w + rho the degree is the number of positive roots on
+    which v pairs negatively (the length of the Weyl element making v
+    dominant), and that dominant image is |v| sorted decreasingly.
     """
     w = validate_weight(w)
     acyclic, _ = is_acyclic(w)
     if acyclic:
         return None
     v = tuple(x + r for x, r in zip(w, RHO))
-    hits = []
-    for g, length in weyl_group_c3().items():
-        gv = _apply(g, v)
-        if gv[0] > gv[1] > gv[2] > 0:
-            hits.append((length, gv))
-    assert len(hits) == 1, "regular weight must have a unique dominant image"
-    length, gv = hits[0]
-    lam = tuple(x - r for x, r in zip(gv, RHO))
-    return length, weyl_dim_c3(lam)
+    degree = sum(1 for root in _POSITIVE_ROOTS
+                 if sum(c * x for c, x in zip(root, v)) < 0)
+    dominant = sorted((abs(x) for x in v), reverse=True)
+    return degree, weyl_dim_c3([x - r for x, r in zip(dominant, RHO)])
 
 
 def bott_report(w):

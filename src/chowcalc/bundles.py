@@ -1,9 +1,10 @@
 """Chern-class calculus on presented Chow rings.
 
 A BundleClass is a formal K-theory class: an integer rank plus Chern classes
-c_1..c_dim.  Character and Todd series are exact (Fraction coefficients from
-the x/(1 - e^-x) expansion); mixed-degree classes are ordinary ring elements
-whose graded parts are read off as needed.
+c_1..c_dim.  Character and Todd series are exact: the Todd class is
+exp(sum g_k p_k) over the power sums p_k of the Chern roots, with
+g_k = -B_k / (k k!) from the Bernoulli numbers.  Mixed-degree classes are
+ordinary ring elements whose graded parts are read off as needed.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from chowcalc.poly import as_int
 from chowcalc.rings import ChowClass, ChowRing
 
 
@@ -21,7 +23,7 @@ class BundleClass:
 
     def __init__(self, ring: ChowRing, rank: int, chern):
         self.ring = ring
-        self.rank = rank
+        self.rank = as_int(rank)
         cs = [c if isinstance(c, ChowClass) else ring.cls(c) for c in chern]
         if len(cs) > ring.dim:
             cs = cs[:ring.dim]
@@ -179,31 +181,17 @@ def chern_from_character(ring: ChowRing, ch: ChowClass) -> BundleClass:
 
 
 def _todd_series_coefficients(top: int):
-    """Coefficients g_k with log(x / (1 - e^-x)) = sum g_k x^k, exactly."""
-    # e^-x partial sums
-    exp_neg = [Fraction((-1) ** k, factorial(k)) for k in range(top + 2)]
-    # f = (1 - e^-x)/x  has constant term 1
-    f = [-exp_neg[k + 1] for k in range(top + 1)]
-    # h = 1/f
-    h = [Fraction(1)] + [Fraction(0)] * top
-    for k in range(1, top + 1):
-        h[k] = -sum(f[i] * h[k - i] for i in range(1, k + 1))
-    # g = log h = sum_{m>=1} (-1)^(m-1) (h-1)^m / m
-    hm1 = h[:]
-    hm1[0] = Fraction(0)
-    g = [Fraction(0)] * (top + 1)
-    power = [Fraction(1)] + [Fraction(0)] * top  # (h-1)^m, starting m=0
+    """Coefficients g_k with log(x / (1 - e^-x)) = sum g_k x^k, exactly.
+
+    Hirzebruch's closed form g_k = -B_k / (k k!) for k >= 1, with the
+    Bernoulli numbers from sum_{j<=m} C(m+1, j) B_j = 0, B_0 = 1.
+    """
+    bernoulli = [Fraction(1)]
     for m in range(1, top + 1):
-        nxt = [Fraction(0)] * (top + 1)
-        for i in range(top + 1):
-            if power[i]:
-                for j in range(1, top + 1 - i):
-                    nxt[i + j] += power[i] * hm1[j]
-        power = nxt
-        sign = Fraction((-1) ** (m - 1), m)
-        for k in range(top + 1):
-            g[k] += sign * power[k]
-    return g
+        bernoulli.append(-sum(comb(m + 1, j) * b
+                              for j, b in enumerate(bernoulli)) / (m + 1))
+    return [Fraction(0)] + [-bernoulli[k] / (k * factorial(k))
+                            for k in range(1, top + 1)]
 
 
 def todd_class(e: BundleClass) -> ChowClass:

@@ -1,10 +1,16 @@
-"""Small dense exact linear algebra over Q (lists of lists of Fraction)."""
+"""Small dense exact linear algebra over Q (lists of lists of Fraction).
+
+Row reduction (rref, and rank and inverse through it) is the sparse
+elimination that builds Groebner bases, poly._echelon; det keeps its own
+forward elimination for the row-swap sign and the pivot product.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import neg
 
-from .poly import as_fraction
+from .poly import _echelon, as_fraction
 
 
 def mat(rows):
@@ -32,29 +38,20 @@ def identity(n):
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rref matrix, pivot column list)."""
+    """Reduced row echelon form; returns (rref matrix, pivot column list).
+
+    Rows go to poly._echelon as sparse {column: value} dicts, each pivot
+    being the row's leftmost nonzero column.
+    """
     m = mat(rows)
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    ncols = len(m[0]) if m else 0
+    echelon = _echelon([{c: x for c, x in enumerate(row) if x} for row in m],
+                       neg)
+    pivots = sorted(echelon)
+    out = [[echelon[p].get(c, Fraction(0)) for c in range(ncols)]
+           for p in pivots]
+    out += [[Fraction(0)] * ncols for _ in range(len(m) - len(pivots))]
+    return out, pivots
 
 
 def rank(rows) -> int:

@@ -184,7 +184,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        n = as_int(n)
+        if n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = Poly.one(self.sig)
         base = self

@@ -29,6 +29,7 @@ from chowcalc.poly import (
     GroebnerBasis,
     Poly,
     Signature,
+    as_int,
     grevlex_key,
     monomials_of_degree,
     parse_poly,
@@ -84,12 +85,12 @@ class ChowClass:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = self.ring.one()
-        base = self
+        n = as_int(n)
         if n < 0:
             raise ValueError("negative power of a Chow class")
+        out = self.ring.one()
         for _ in range(n):
-            out = out * base
+            out = out * self
         return out
 
     def __eq__(self, other):

@@ -1,11 +1,12 @@
 """Weight-by-weight cohomology bookkeeping in type C3."""
 
+import itertools
 import random
 
 import pytest
 
-from chowcalc.bott import (bott_report, cohomology, is_acyclic,
-                           validate_weight, weyl_dim_c3, weyl_group_c3)
+from chowcalc.bott import (RHO, bott_report, cohomology, is_acyclic,
+                           validate_weight, weyl_dim_c3)
 
 SEED = 20260826
 N_CASES = 200
@@ -23,6 +24,55 @@ ACYCLIC_SIX = [
 def _serre_dual_weight(w):
     """Weight of the Serre-dual bundle: dual twisted by K = O(-4) on LG(3,6)."""
     return (-w[2] - 4, -w[1] - 4, -w[0] - 4)
+
+
+# Reference oracle: the whole Weyl group of C3 and a brute-force search.
+# Group elements are ((i0,s0),(i1,s1),(i2,s2)) with (g v)[k] = s_k * v[i_k].
+_IDENT = ((0, 1), (1, 1), (2, 1))
+_GENS = (
+    ((1, 1), (0, 1), (2, 1)),    # swap coordinates 1,2
+    ((0, 1), (2, 1), (1, 1)),    # swap coordinates 2,3
+    ((0, 1), (1, 1), (2, -1)),   # negate coordinate 3
+)
+
+
+def _apply(g, v):
+    return tuple(s * v[i] for i, s in g)
+
+
+def _compose(g, h):
+    """(g o h) v = g(h(v))."""
+    return tuple((h[i][0], s * h[i][1]) for i, s in g)
+
+
+def weyl_group_c3():
+    """All 48 signed permutations with their Coxeter lengths, by BFS."""
+    lengths = {_IDENT: 0}
+    frontier = [_IDENT]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in _GENS:
+                gs = _compose(g, s)
+                if gs not in lengths:
+                    lengths[gs] = lengths[g] + 1
+                    nxt.append(gs)
+        frontier = nxt
+    return lengths
+
+
+def brute_force_cohomology(w, group):
+    """Find the Weyl element sorting w + rho to a strictly decreasing
+    positive vector; its length is the cohomological degree."""
+    v = tuple(x + r for x, r in zip(w, RHO))
+    images = [(length, _apply(g, v)) for g, length in group.items()]
+    hits = [(length, gv) for length, gv in images
+            if gv[0] > gv[1] > gv[2] > 0]
+    if not hits:
+        return None
+    assert len(hits) == 1, "regular weight must have a unique dominant image"
+    length, gv = hits[0]
+    return length, weyl_dim_c3(tuple(x - r for x, r in zip(gv, RHO)))
 
 
 def random_weight(rng, lo=-6, hi=6):
@@ -125,6 +175,16 @@ class TestWeylGroup:
         indices = [i for i, _ in longest[0]]
         assert signs == [-1, -1, -1]
         assert indices == [0, 1, 2]
+
+
+class TestBruteForceOracle:
+    def test_every_weight_in_a_box_matches_the_weyl_group_search(self):
+        group = weyl_group_c3()
+        weights = list(itertools.combinations_with_replacement(
+            range(15, -16, -1), 3))
+        assert len(weights) == 5456
+        for w in weights:
+            assert cohomology(w) == brute_force_cohomology(w, group), w
 
 
 class TestValidation:

@@ -6,7 +6,8 @@ from math import factorial
 
 import pytest
 
-from chowcalc.bundles import (BundleClass, chern_character,
+from chowcalc.bundles import (BundleClass, _todd_series_coefficients,
+                              chern_character,
                               chern_from_character, chi_of_character, dual,
                               grr_push_curve, hrr_chi, segre, segre_component,
                               tangent_bundle, todd_class, twist,
@@ -88,6 +89,19 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             twist(BundleClass.trivial(p3, 2), h * h)
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+    def test_rank_must_be_an_integer(self, bad):
+        p3 = catalog("P3")
+        with pytest.raises(TypeError):
+            BundleClass(p3, bad, [p3.var("h")])
+
+    def test_negative_rank_stays_legal_for_virtual_classes(self):
+        p3 = catalog("P3")
+        h = p3.var("h")
+        assert BundleClass(p3, -1, [h]).rank == -1
+        e = BundleClass.line(p3, h)
+        assert whitney_quotient(e, BundleClass.trivial(p3, 2)).rank == -1
+
     def test_chern_list_padding(self):
         p3 = projective_space(3)
         h = p3.var("h")
@@ -131,7 +145,7 @@ class TestCharacter:
 
 
 class TestRiemannRoch:
-    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_chi_of_twists_of_structure_sheaf(self, n):
         ring = projective_space(n)
         h = ring.var("h")
@@ -161,6 +175,38 @@ class TestRiemannRoch:
         td = todd_class(tangent_bundle(p5))
         top = p5.cls(td.rep.homogeneous_part(5))
         assert p5.integrate(top) == 1
+
+
+def series_todd_coefficients(top):
+    """Reference: log(x / (1 - e^-x)) by a power-series inverse and log."""
+    exp_neg = [Fraction((-1) ** k, factorial(k)) for k in range(top + 2)]
+    f = [-exp_neg[k + 1] for k in range(top + 1)]   # (1 - e^-x)/x
+    h = [Fraction(1)] + [Fraction(0)] * top          # 1/f
+    for k in range(1, top + 1):
+        h[k] = -sum(f[i] * h[k - i] for i in range(1, k + 1))
+    hm1 = [Fraction(0)] + h[1:]
+    g = [Fraction(0)] * (top + 1)
+    power = [Fraction(1)] + [Fraction(0)] * top      # (h-1)^m
+    for m in range(1, top + 1):
+        nxt = [Fraction(0)] * (top + 1)
+        for i in range(top + 1):
+            for j in range(1, top + 1 - i):
+                nxt[i + j] += power[i] * hm1[j]
+        power = nxt
+        for k in range(top + 1):
+            g[k] += Fraction((-1) ** (m - 1), m) * power[k]
+    return g
+
+
+class TestToddSeries:
+    def test_first_coefficients(self):
+        assert _todd_series_coefficients(8) == [
+            0, Fraction(1, 2), Fraction(-1, 24), 0, Fraction(1, 2880), 0,
+            Fraction(-1, 181440), 0, Fraction(1, 9676800)]
+
+    @pytest.mark.parametrize("top", range(13))
+    def test_closed_form_matches_series_logarithm(self, top):
+        assert _todd_series_coefficients(top) == series_todd_coefficients(top)
 
 
 class TestCurvePushforward:

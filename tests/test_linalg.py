@@ -114,3 +114,46 @@ def test_rref_pivots_are_strictly_increasing():
         assert list(pivots) == sorted(set(pivots))
         for row, col in enumerate(pivots):
             assert reduced[row][col] == 1
+
+
+def dense_rref(rows):
+    """Reference: dense Gauss-Jordan, leftmost pivot column first."""
+    m = mat(rows)
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def test_rref_matches_dense_gauss_jordan():
+    rng = random.Random(15)
+    for case in range(300):
+        n, m = rng.randint(0, 6), rng.randint(0, 6)
+        a = [[Fraction(rng.choice([0, 0, 1, -2, 3]), rng.randint(1, 3))
+              for _ in range(m)] for _ in range(n)]
+        if n and case % 3 == 0:      # a zero row
+            a[rng.randrange(n)] = [Fraction(0)] * m
+        if m and case % 4 == 0:      # a zero column
+            col = rng.randrange(m)
+            for row in a:
+                row[col] = Fraction(0)
+        if n >= 2 and case % 5 == 0:  # a combination of the other rows
+            i = rng.randrange(n)
+            coeffs = [0 if j == i else rng.randint(-2, 2) for j in range(n)]
+            a[i] = [sum((k * row[c] for k, row in zip(coeffs, a)),
+                        Fraction(0)) for c in range(m)]
+        reduced, pivots = rref(a)
+        assert (reduced, pivots) == dense_rref(a)
+        assert len({id(row) for row in reduced}) == len(reduced)

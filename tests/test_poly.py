@@ -109,6 +109,8 @@ class TestArithmetic:
             Poly.constant(XYZ, bad)
         with pytest.raises(TypeError):
             parse_poly("x + y", XYZ).scale(bad)
+        with pytest.raises(TypeError):
+            parse_poly("x", XYZ) ** bad
 
     def test_coefficient_of(self):
         p = parse_poly("x^2*y + 3*x*z - y", XYZ)

@@ -143,6 +143,16 @@ class TestCatalog:
         with pytest.raises(TypeError):
             ChowRing("X", p1.sig, p1.relations, 1, **keyword)
 
+    def test_power_exponent_must_be_a_nonnegative_integer(self):
+        p3 = catalog("P3")
+        h = p3.var("h")
+        assert h ** 2 == h * h and h ** 0 == p3.one()
+        for bad in (True, False, 2.0, 0.5):
+            with pytest.raises(TypeError):
+                h ** bad
+        with pytest.raises(ValueError):
+            h ** -1
+
     def test_integration_degree_rules(self):
         p3 = catalog("P3")
         h = p3.var("h")
