@@ -16,7 +16,11 @@ hyperplane-section model FB.
 Presented rings compute their reduced basis degree by degree
 (poly.groebner_basis).  Derived rings compute none: they lift the reduced
 bases of their factors or base, and a bundle adds its tautological
-relation, whose lead zeta^r is coprime to every base lead.
+relation, whose lead zeta^r is coprime to every base lead.  One embedding,
+_lift, moves a Poly into a derived ring's variables: the base's (or a
+factor's) variables sit at a fixed offset in the new signature, and the
+exponent tuples are padded with zeros on both sides (pushforward drops
+them again).
 """
 
 from __future__ import annotations
@@ -190,10 +194,8 @@ class ChowRing:
             return monomials_of_degree(self.sig, degree)
         return self.gb.standard_monomials(degree)
 
-    def hilbert_function(self, max_degree=None):
-        if max_degree is None:
-            max_degree = self.dim
-        return [len(self.standard_monomials(d)) for d in range(max_degree + 1)]
+    def hilbert_function(self):
+        return [len(self.standard_monomials(d)) for d in range(self.dim + 1)]
 
     # integration ----------------------------------------------------------
 
@@ -225,8 +227,7 @@ class ChowRing:
             raise ValueError("pullback needs a projective-bundle ring")
         if x.ring is not self.base:
             raise ValueError("class does not live on the base")
-        terms = {(0,) + m: c for m, c in x.rep.terms.items()}
-        return ChowClass(self, Poly(self.sig, terms))
+        return ChowClass(self, _lift(x.rep, self.sig, 1))
 
     def __repr__(self):
         return "ChowRing(%s, dim %d)" % (self.label, self.dim)
@@ -260,6 +261,19 @@ def product_p1(k: int) -> ChowRing:
                     tau=tau, n=1, tangent_chern=tangent)
 
 
+def _lift(p: Poly, sig: Signature, offset: int) -> Poly:
+    """p with its variables placed at sig's positions offset, offset + 1, ..."""
+    left = (0,) * offset
+    right = (0,) * (len(sig) - offset - len(p.sig))
+    return Poly(sig, {left + m + right: c for m, c in p.terms.items()})
+
+
+def _lifted(ring: ChowRing, sig: Signature, offset: int):
+    """The ring's relations and reduced basis, each lifted by _lift."""
+    return ([_lift(r, sig, offset) for r in ring.relations],
+            [_lift(g, sig, offset) for g in ring.gb or ()])
+
+
 def _lifted_gb(sig: Signature, elements):
     """Wrap an already reduced basis, sorted by ascending leading monomial."""
     if not elements:
@@ -269,7 +283,7 @@ def _lifted_gb(sig: Signature, elements):
     return GroebnerBasis(elements, precomputed=True)
 
 
-def product_ring(a: ChowRing, b: ChowRing, label=None) -> ChowRing:
+def product_ring(a: ChowRing, b: ChowRing) -> ChowRing:
     if a.tau is None or b.tau is None:
         raise ValueError("product_ring needs two directly-normalized rings")
     clash = set(a.sig.names) & set(b.sig.names)
@@ -277,34 +291,26 @@ def product_ring(a: ChowRing, b: ChowRing, label=None) -> ChowRing:
         raise ValueError("variable name clash: %s" % ", ".join(sorted(clash)))
     sig = Signature(a.sig.names + b.sig.names, a.sig.weights + b.sig.weights)
     off = len(a.sig)
-    pad_b = len(b.sig)
-
-    def lift_a(p: Poly) -> Poly:
-        return Poly(sig, {m + (0,) * pad_b: c for m, c in p.terms.items()})
-
-    def lift_b(p: Poly) -> Poly:
-        return Poly(sig, {(0,) * off + m: c for m, c in p.terms.items()})
-
-    rels = [lift_a(r) for r in a.relations] + [lift_b(r) for r in b.relations]
+    rels_a, gb_a = _lifted(a, sig, 0)
+    rels_b, gb_b = _lifted(b, sig, off)
     # disjoint variables: the union of the two reduced bases is itself reduced
-    gb = _lifted_gb(sig, [lift_a(g) for g in a.gb or ()]
-                    + [lift_b(g) for g in b.gb or ()])
+    gb = _lifted_gb(sig, gb_a + gb_b)
     top = {ma + mb: va * vb
            for ma, va in a.top.items() for mb, vb in b.top.items()}
     tangent = None
     if a.tangent_chern is not None and b.tangent_chern is not None:
         ca = Poly.one(sig)
         for t in a.tangent_chern:
-            ca = ca + lift_a(t)
+            ca = ca + _lift(t, sig, 0)
         cb = Poly.one(sig)
         for t in b.tangent_chern:
-            cb = cb + lift_b(t)
+            cb = cb + _lift(t, sig, off)
         prod = ca * cb
         tangent = [prod.homogeneous_part(i) for i in range(1, a.dim + b.dim + 1)]
-    return ChowRing(label or "%s x %s" % (a.label, b.label),
-                    sig, rels, a.dim + b.dim, top=top,
-                    tau=lift_a(a.tau) * lift_b(b.tau), n=a.n * b.n,
-                    tangent_chern=tangent, gb=gb)
+    return ChowRing("%s x %s" % (a.label, b.label),
+                    sig, rels_a + rels_b, a.dim + b.dim, top=top,
+                    tau=_lift(a.tau, sig, 0) * _lift(b.tau, sig, off),
+                    n=a.n * b.n, tangent_chern=tangent, gb=gb)
 
 
 def projective_bundle(base: ChowRing, chern, zeta: str, label=None) -> ChowRing:
@@ -323,20 +329,16 @@ def projective_bundle(base: ChowRing, chern, zeta: str, label=None) -> ChowRing:
         if ci and (not ci.is_homogeneous() or ci.degree() != i):
             raise ValueError("c_%d must be homogeneous of degree %d" % (i, i))
     sig = Signature((zeta,) + base.sig.names, (1,) + base.sig.weights)
-
-    def lift(p: Poly) -> Poly:
-        return Poly(sig, {(0,) + m: c for m, c in p.terms.items()})
-
+    rels, gens = _lifted(base, sig, 1)
     z = Poly.variable(sig, zeta)
     rel = z ** r
     for i, ci in enumerate(cherns, start=1):
-        rel = rel + (-1) ** i * lift(ci) * z ** (r - i)
+        rel = rel + (-1) ** i * _lift(ci, sig, 1) * z ** (r - i)
     # rel has lead zeta^r, coprime to every base lead, and a reduced tail
-    gb = _lifted_gb(sig, [lift(g) for g in base.gb or ()] + [rel])
+    gb = _lifted_gb(sig, gens + [rel])
     top = {(r - 1,) + m: v for m, v in base.top.items()}
     return ChowRing(label or "Proj over %s" % base.label,
-                    sig, [lift(q) for q in base.relations] + [rel],
-                    base.dim + r - 1, top=top, gb=gb,
+                    sig, rels + [rel], base.dim + r - 1, top=top, gb=gb,
                     base=base, chern=cherns)
 
 
@@ -345,14 +347,13 @@ def relative_canonical(pb: ChowRing) -> ChowClass:
     if pb.rank is None:
         raise ValueError("relative_canonical needs a projective-bundle ring")
     z = Poly.variable(pb.sig, pb.zeta)
-    c1 = Poly(pb.sig, {(0,) + m: c for m, c in pb.chern[0].terms.items()})
-    return ChowClass(pb, -pb.rank * z + c1)
+    return ChowClass(pb, -pb.rank * z + _lift(pb.chern[0], pb.sig, 1))
 
 
-def blowup_threefold_along_curve(base: ChowRing, curve, genus: int,
-                                 e: str = "e", label=None) -> ChowRing:
+def blowup_threefold_along_curve(base: ChowRing, curve, genus: int) -> ChowRing:
     """Blow-up of a threefold along a smooth curve of the given class/genus.
 
+    The exceptional divisor is the new last variable, "e".
     Integration rules: pi^*D . e^2 = -(D.C)[pt], e^3 = -(-K.C + 2g - 2)[pt],
     e . pi^*(codim-2) = 0, and pi^* preserves base integrals.
     """
@@ -363,12 +364,10 @@ def blowup_threefold_along_curve(base: ChowRing, curve, genus: int,
     curve_rep = curve.rep if isinstance(curve, ChowClass) else curve
     if base.sig.wdeg(curve_rep.leading_monomial()) != 2:
         raise ValueError("curve class must have codimension 2")
-    if e in base.sig.names:
+    if "e" in base.sig.names:
         raise ValueError("exceptional name clashes with a base variable")
-    sig = Signature(base.sig.names + (e,), base.sig.weights + (1,))
-
-    def lift(p: Poly) -> Poly:
-        return Poly(sig, {m + (0,): c for m, c in p.terms.items()})
+    sig = Signature(base.sig.names + ("e",), base.sig.weights + (1,))
+    rels, gens = _lifted(base, sig, 0)
 
     def degree_on_curve(p: Poly) -> Fraction:
         return base.integrate(ChowClass(base, p * curve_rep))
@@ -379,10 +378,8 @@ def blowup_threefold_along_curve(base: ChowRing, curve, genus: int,
     minus_k = base.tangent_chern[0]  # -K_base = c1(T_base)
     top[(0,) * len(base.sig) + (3,)] = \
         -(degree_on_curve(minus_k) + 2 * genus - 2)
-    return ChowRing(label or "Bl %s" % base.label,
-                    sig, [lift(q) for q in base.relations], 3, top=top,
-                    gb=_lifted_gb(sig, [lift(g) for g in base.gb or ()]),
-                    base=base)
+    return ChowRing("Bl %s" % base.label, sig, rels, 3, top=top,
+                    gb=_lifted_gb(sig, gens), base=base)
 
 
 def integrate_on_hyperplane_section(ambient: ChowRing, hyperplane: ChowClass,
@@ -390,9 +387,9 @@ def integrate_on_hyperplane_section(ambient: ChowRing, hyperplane: ChowClass,
     """Integral over the divisor cut by `hyperplane` of the restriction of x."""
     if x.ring is not ambient or hyperplane.ring is not ambient:
         raise ValueError("classes must live on the ambient ring")
-    if x.is_homogeneous() and not x.is_zero() \
-            and x.degree() != ambient.dim - 1:
-        return Fraction(0)
+    if not hyperplane.is_zero() and (not hyperplane.is_homogeneous()
+                                     or hyperplane.degree() != 1):
+        raise ValueError("hyperplane class must be a divisor class")
     return ambient.integrate(x * hyperplane)
 
 

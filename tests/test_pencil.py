@@ -5,18 +5,20 @@ from fractions import Fraction
 
 import pytest
 
+from chowcalc import checks, pencil
 from chowcalc.linalg import det, identity, rank
-from chowcalc.pencil import (BETA_TEXT, FLATTENING_TEXT, PENCIL_SIG,
-                             CoordinateModel, Quasimonad, SkewPencil,
+from chowcalc.pencil import (BETA_TEXT, CONGRUENCE_SIG, FLATTENING_TEXT,
+                             PENCIL_SIG, Quasimonad, SkewPencil,
                              adjugate3, beta_matrix, binary_form_gcd,
                              congruence_model_check, constant_rank_certificate,
                              flatten_rank, flattening_matrix,
-                             graph_plane, gw_residuals, interleaved_flattening,
-                             is_isotropic, minors_locus_hilbert, pfaffian,
-                             plucker_abxy, quasimonad_checks, rank_one_point,
-                             rank_two_point, sub_pfaffians,
-                             symplectic_product, _rational_projective_root,
-                             _y_coordinates)
+                             graph_plane, gw_residuals, incidence_generators,
+                             interleaved_flattening, is_isotropic,
+                             minors_locus_hilbert, pfaffian, plucker_abxy,
+                             presentation_matrix, quasimonad_checks,
+                             rank_one_point, rank_two_point, six_sections,
+                             sub_pfaffians, symplectic_product,
+                             _rational_projective_root, _y_coordinates)
 from chowcalc.poly import Poly, parse_poly
 
 SEED = 20260826
@@ -222,8 +224,7 @@ class TestQuasimonad:
         assert len(m.minor_ideal_generators()) == 15
 
     def test_report_is_clean(self):
-        report = quasimonad_checks(samples=8, seed=SEED)
-        assert report.ok
+        report = quasimonad_checks(SEED)
         assert report.composition_zero
         assert report.form_determinant == 1
         assert report.left_rank_at_e0 == 2
@@ -296,12 +297,11 @@ class TestSymplecticModel:
         assert all(r == 0 for r in gw_residuals(a1, x1, y1, b1))
 
     def test_model_equation_counts(self):
-        model = CoordinateModel()
-        assert len(model.incidence_generators()) == 10
-        assert len(model.six_sections()) == 6
+        assert len(incidence_generators()) == 10
+        assert len(six_sections()) == 6
 
     def test_presentation_matrix_layout(self):
-        m = CoordinateModel().presentation_matrix(2, [1, 2, 3, 4, 5])
+        m = presentation_matrix(2, [1, 2, 3, 4, 5])
         assert m == [[2, 0, 1, 2, 3, 4], [0, 2, -2, -3, -4, -5]]
 
     def test_hyperplane_coordinate_extraction(self):
@@ -315,7 +315,6 @@ class TestSymplecticModel:
 class TestCongruenceModel:
     def test_full_model_check(self):
         report = congruence_model_check()
-        assert report.ok, report.failures
         assert all(flag for _, flag in report.memberships)
         assert len(report.memberships) == 6
         assert report.rank_off_section == 2
@@ -323,18 +322,47 @@ class TestCongruenceModel:
         assert report.point_residuals_ok
 
 
-def test_wrong_cofactor_fails_the_congruence_report(monkeypatch):
-    right = CoordinateModel.section_cofactors
+def _failed_lines(name):
+    result = checks.run_check(checks.get_check(name))
+    assert not result.passed
+    return [line for line in result.transcript if line.startswith("FAIL ")]
 
-    def wrong(model):
-        cofactors = right(model)
-        cofactors[1] = [(0, Poly.variable(model.sig, "lam"))]
+
+def test_wrong_cofactor_fails_the_congruence_report(monkeypatch):
+    right = pencil.section_cofactors
+
+    def wrong():
+        cofactors = right()
+        cofactors[1] = [(0, Poly.variable(CONGRUENCE_SIG, "lam"))]
         return cofactors
 
-    monkeypatch.setattr(CoordinateModel, "section_cofactors", wrong)
+    monkeypatch.setattr(pencil, "section_cofactors", wrong)
     report = congruence_model_check()
-    assert not report.ok
     assert [flag for _, flag in report.memberships] == \
         [True, False, True, True, True, True]
-    assert len(report.failures) == 1
-    assert "-mu*a" in report.failures[0]
+    failed = _failed_lines("congruence-model")
+    assert len(failed) == 1
+    assert "-mu*a" in failed[0]
+
+
+def test_a_zero_off_section_point_fails_the_congruence_check(monkeypatch):
+    monkeypatch.setattr(pencil, "rank_two_point", rank_one_point)
+    assert congruence_model_check().rank_off_section is None
+    failed = _failed_lines("congruence-model")
+    assert len(failed) == 1
+    assert failed[0].endswith(
+        "rank off the hyperplane section = None, expected 2")
+
+
+def test_a_left_map_rank_drop_fails_the_quasimonad_check(monkeypatch):
+    left_at = Quasimonad.left_at
+
+    def rank_one(q, z):
+        # both columns equal to the first: rank 1 wherever that is nonzero
+        return [[row[0], row[0]] for row in left_at(q, z)]
+
+    monkeypatch.setattr(Quasimonad, "left_at", rank_one)
+    assert _failed_lines("quasimonad-exactness") == [
+        "FAIL left-map rank at the first coordinate point = 1, expected 2",
+        "FAIL left-map rank 2 at all 8 seeded points",
+    ]

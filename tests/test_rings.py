@@ -249,6 +249,16 @@ class TestConstructors:
         assert integrate_on_hyperplane_section(g, h2, h2 ** 7) == 14
         assert integrate_on_hyperplane_section(g, h2, h2 ** 5) == 0
 
+    def test_hyperplane_class_must_be_a_divisor(self):
+        g = catalog("G26")
+        h2 = g.var("h_2")
+        for hyperplane, x in ((h2 ** 2, h2 ** 6), (h2 + h2 ** 2, h2 ** 7),
+                              (g.one(), h2 ** 8)):
+            with pytest.raises(ValueError):
+                integrate_on_hyperplane_section(g, hyperplane, x)
+        with pytest.raises(ValueError):
+            integrate_on_hyperplane_section(g, h2, h2 + h2 ** 7)
+
 
 def _segre_birational_bundle():
     b = catalog("B")
