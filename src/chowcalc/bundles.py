@@ -222,14 +222,26 @@ def tangent_bundle(ring: ChowRing) -> BundleClass:
                        [ring.cls(c) for c in ring.tangent_chern])
 
 
+def _tangent_todd(ring: ChowRing):
+    """td(T) of the ring as a normal-form Poly, built once per ring.
+
+    It is kept on the ring itself, so it goes when the ring goes; a Poly
+    rather than a ChowClass, which would point back at the ring.
+    """
+    if ring.todd is None:
+        ring.todd = todd_class(tangent_bundle(ring)).rep
+    return ring.todd
+
+
 def hrr_chi(e: BundleClass) -> Fraction:
     """Euler characteristic by Hirzebruch-Riemann-Roch."""
     return chi_of_character(e.ring, chern_character(e))
 
 
 def chi_of_character(ring: ChowRing, ch: ChowClass) -> Fraction:
-    mixed = ch * todd_class(tangent_bundle(ring))
-    return ring.integrate(ring.cls(mixed.rep.homogeneous_part(ring.dim)))
+    # normal forms keep degrees, so the top part may be taken before one
+    mixed = ch.rep * _tangent_todd(ring)
+    return ring.integrate(ring.cls(mixed.homogeneous_part(ring.dim)))
 
 
 def grr_push_curve(ambient: ChowRing, genus: int, curve_class: ChowClass,
@@ -252,5 +264,5 @@ def grr_push_curve(ambient: ChowRing, genus: int, curve_class: ChowClass,
                          % (n - 1, codim))
     chi_c = Fraction(sheaf_degree) + 1 - genus
     pushed = curve_class + chi_c * point_class
-    td_inv = _series_inverse(todd_class(tangent_bundle(ambient)))
+    td_inv = _series_inverse(ambient.cls(_tangent_todd(ambient)))
     return sum(_graded_parts(pushed * td_inv, n), ambient.zero())

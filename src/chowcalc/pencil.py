@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .linalg import det, identity, inverse, rank, rref, transpose
-from .poly import GroebnerBasis, Poly, Signature, parse_poly
+from .poly import GroebnerBasis, Poly, Signature, exact_div, parse_poly
 
 PENCIL_SIG = Signature.make((("u", 1), ("v", 1)))
 POINT_SIG = Signature.make(tuple(("z%d" % i, 1) for i in range(6)))
@@ -181,7 +181,7 @@ def _form_parts(p: Poly):
         coeffs[eu] = c
     lo = min(coeffs)
     hi = max(coeffs)
-    core = [coeffs.get(e, Fraction(0)) for e in range(lo, hi + 1)]
+    core = [coeffs.get(e, 0) for e in range(lo, hi + 1)]
     return lo, d - hi, core
 
 
@@ -191,7 +191,7 @@ def _upoly_mod(a, b):
         if a[-1] == 0:
             a.pop()
             continue
-        q = a[-1] / b[-1]
+        q = exact_div(a[-1], b[-1])
         off = len(a) - len(b)
         for i in range(len(b)):
             a[off + i] -= q * b[i]
@@ -207,7 +207,7 @@ def _upoly_gcd(a, b):
         a, b = b, _upoly_mod(a, b)
     if a:
         lead = a[-1]
-        a = [c / lead for c in a]
+        a = [exact_div(c, lead) for c in a]
     return a
 
 
@@ -337,7 +337,7 @@ def _blocks_from_pencil(p: SkewPencil):
            for row in p.matrix]
     mixed = [[e.coefficient_of("u", 1).coefficient_of("v", 1).evaluate(origin)
               for e in row] for row in p.matrix]
-    b01 = [[c / 2 for c in row] for row in mixed]
+    b01 = [[exact_div(c, 2) for c in row] for row in mixed]
     return b00, b01, b11
 
 

@@ -1,8 +1,13 @@
 """Sparse multivariate polynomials over Q, graded by per-variable weights.
 
 Monomial order is graded reverse lexicographic, where "graded" means the
-weighted degree (each variable carries a positive integer weight).  All
-coefficients are fractions.Fraction; nothing here ever touches a float.
+weighted degree (each variable carries a positive integer weight).
+
+Coefficients are exact rationals stored integer-first: an `int` when the
+value is integral and a `fractions.Fraction` only when it is not, so that
+most arithmetic runs on ints rather than Fractions.  `coefficient` is the one
+normaliser (it also refuses floats and bools) and `exact_div` the one
+division; nothing here ever touches a float.
 """
 
 from __future__ import annotations
@@ -12,10 +17,11 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from heapq import heapify, heappop, heappush
+from operator import add, le, mul, neg, sub
+from typing import Iterator
 
 Monomial = tuple  # tuple[int, ...], exponents in signature order
-Rat = Fraction
 
 
 @dataclass(frozen=True)
@@ -54,7 +60,7 @@ class Signature:
                            % (name, ", ".join(self.names))) from None
 
     def wdeg(self, mono: Monomial) -> int:
-        return sum(w * e for w, e in zip(self.weights, mono))
+        return sum(map(mul, self.weights, mono))
 
 
 def as_fraction(c) -> Fraction:
@@ -65,6 +71,28 @@ def as_fraction(c) -> Fraction:
     return Fraction(c)
 
 
+def coefficient(c):
+    """An exact rational in stored form: an int when it is integral, else a
+    Fraction (whose denominator is then never 1).  Floats and bools are
+    refused."""
+    t = type(c)
+    if t is int:
+        return c
+    if t is not Fraction:
+        c = as_fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def exact_div(a, b):
+    """a / b for exact rationals, in stored form (see `coefficient`)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+        return Fraction(a, b)
+    return coefficient(Fraction(a) / b)
+
+
 def as_int(x) -> int:
     """An exact integer; floats, bools and other non-integers are refused."""
     if isinstance(x, (float, bool)):
@@ -73,17 +101,17 @@ def as_int(x) -> int:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True if a | b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -96,7 +124,7 @@ def grevlex_key(sig: Signature, mono: Monomial):
     Ties in weighted degree break reverse-lexicographically: the monomial
     with the smaller exponent on the last differing variable is larger.
     """
-    return (sig.wdeg(mono), tuple(-e for e in reversed(mono)))
+    return (sum(map(mul, sig.weights, mono)), tuple(map(neg, reversed(mono))))
 
 
 class Poly:
@@ -109,8 +137,8 @@ class Poly:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                if type(coeff) is not Fraction:
-                    coeff = as_fraction(coeff)
+                if type(coeff) is not int:
+                    coeff = coefficient(coeff)
                 if coeff:
                     clean[tuple(mono)] = coeff
         object.__setattr__(self, "terms", clean)
@@ -134,7 +162,7 @@ class Poly:
     def variable(cls, sig: Signature, name: str) -> "Poly":
         i = sig.index(name)
         mono = tuple(1 if j == i else 0 for j in range(len(sig)))
-        return cls(sig, {mono: Fraction(1)})
+        return cls(sig, {mono: 1})
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -153,7 +181,7 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + c
+            terms[mono] = terms.get(mono, 0) + c
         return Poly(self.sig, terms)
 
     __radd__ = __add__
@@ -175,10 +203,12 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         terms = {}
+        get = terms.get
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+            for m2, c2 in right:
+                m = tuple(map(add, m1, m2))
+                terms[m] = get(m, 0) + c1 * c2
         return Poly(self.sig, terms)
 
     __rmul__ = __mul__
@@ -197,8 +227,7 @@ class Poly:
         return result
 
     def scale(self, c) -> "Poly":
-        if type(c) is not Fraction:
-            c = as_fraction(c)
+        c = coefficient(c)
         return Poly(self.sig, {m: c * k for m, k in self.terms.items()})
 
     # predicates and parts -------------------------------------------------
@@ -251,16 +280,16 @@ class Poly:
     def leading_monomial(self) -> Monomial:
         return self.leading_term()[0]
 
-    def leading_coefficient(self) -> Rat:
+    def leading_coefficient(self) -> int | Fraction:
         return self.leading_term()[1]
 
     def monic(self) -> "Poly":
         if not self.terms:
             return self
-        return self.scale(1 / self.leading_coefficient())
+        return self.scale(exact_div(1, self.leading_coefficient()))
 
-    def constant_term(self) -> Rat:
-        return self.terms.get((0,) * len(self.sig), Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get((0,) * len(self.sig), 0)
 
     def coefficient_of(self, name: str, power: int) -> "Poly":
         """Coefficient of name**power, as a polynomial in the same signature."""
@@ -271,7 +300,7 @@ class Poly:
                 terms[tuple(0 if j == i else e for j, e in enumerate(m))] = c
         return Poly(self.sig, terms)
 
-    def evaluate(self, values: dict) -> Rat:
+    def evaluate(self, values: dict) -> Fraction:
         """Full evaluation at a rational point given by {name: value}."""
         vals = []
         for name in self.sig.names:
@@ -357,11 +386,16 @@ class _Tokens:
         return tok
 
 
+# Largest exponent parse_poly accepts after ^: far above the dimension of
+# any ring here, and small enough that one power cannot stall the parser.
+MAX_EXPONENT = 100
+
+
 def parse_poly(text: str, sig: Signature) -> Poly:
     """Parse the wire grammar: + - * ^, integer and p/q literals, parens.
 
-    ^ binds tightest and takes a nonnegative integer exponent; unary minus
-    binds loosest (applies to a whole product).
+    ^ binds tightest and takes a nonnegative integer exponent of at most
+    MAX_EXPONENT; unary minus binds loosest (applies to a whole product).
     """
     toks = _Tokens(text)
     poly = _parse_expr(toks, sig)
@@ -411,7 +445,10 @@ def _parse_factor(toks: _Tokens, sig: Signature) -> Poly:
         kind, value, pos = toks.next()
         if kind != "int":
             raise ParseError("exponent must be an integer literal", pos)
-        base = base ** int(value)
+        digits = value.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise ParseError("exponent above the cap %d" % MAX_EXPONENT, pos)
+        base = base ** int(digits)
     return base
 
 
@@ -450,13 +487,22 @@ def reduce_poly(p: Poly, divisors) -> Poly:
     """Full normal form of p modulo the list of divisors.
 
     Every monomial of the result is divisible by no leading monomial of the
-    divisors.  Deterministic: always cancels the largest reducible monomial.
+    divisors.  Deterministic: always cancels the largest reducible monomial,
+    by the first divisor whose lead divides it.
 
     When every divisor is a single term, the remainder is the terms of p
     that no divisor divides, read off without the division loop.  It is the
     loop's own answer for any such list, Groebner basis or not: cancelling
     a term by a monomial deletes that term and adds no other, so the loop
     only ever drops the divisible terms of p and keeps the rest.
+
+    Otherwise the pending terms sit in a dict and their monomials in a heap
+    keyed by (-weighted degree, reversed exponents), whose smallest key is
+    the grevlex-largest monomial; each key is built once, when its monomial
+    first enters the dict (Monagan-Pearce).  A reduction step only adds
+    monomials smaller than the one it cancels, so no popped monomial comes
+    back, and a monomial whose pending coefficient cancels to 0 stays in
+    both until popped.
     """
     divisors = [d for d in divisors if not d.is_zero()]
     sig = p.sig
@@ -464,26 +510,35 @@ def reduce_poly(p: Poly, divisors) -> Poly:
         monos = [next(iter(d.terms)) for d in divisors]
         return Poly(sig, {m: c for m, c in p.terms.items()
                           if not any(mono_divides(l, m) for l in monos)})
-    leads = [(d.leading_monomial(), d) for d in divisors]
+    weights = sig.weights
+    leads = [d.leading_term() + (d.terms,) for d in divisors]
     remainder = {}
     work = dict(p.terms)
-    while work:
-        mono = max(work, key=lambda m: grevlex_key(sig, m))
+    heap = [(-sum(map(mul, weights, m)), m[::-1], m) for m in work]
+    heapify(heap)
+    while heap:
+        mono = heappop(heap)[2]
         coeff = work.pop(mono)
         if not coeff:
             continue
-        for lead, d in leads:
+        for lead, lc, terms in leads:
             if mono_divides(lead, mono):
                 shift = mono_div(mono, lead)
-                factor = coeff / d.leading_coefficient()
-                for m2, c2 in d.terms.items():
-                    m = mono_mul(m2, shift)
-                    if m == mono:
+                factor = -coeff if lc == 1 else exact_div(-coeff, lc)
+                for m2, c2 in terms.items():
+                    if m2 == lead:
                         continue
-                    work[m] = work.get(m, Fraction(0)) - factor * c2
+                    m = tuple(map(add, m2, shift))
+                    old = work.get(m)
+                    if old is None:
+                        work[m] = factor * c2
+                        key = -sum(map(mul, weights, m))
+                        heappush(heap, (key, m[::-1], m))
+                    else:
+                        work[m] = old + factor * c2
                 break
         else:
-            remainder[mono] = remainder.get(mono, Fraction(0)) + coeff
+            remainder[mono] = coeff
     return Poly(sig, remainder)
 
 
@@ -491,8 +546,8 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
     lf, cf = f.leading_term()
     lg, cg = g.leading_term()
     lcm = mono_lcm(lf, lg)
-    mf = Poly(f.sig, {mono_div(lcm, lf): 1 / cf})
-    mg = Poly(g.sig, {mono_div(lcm, lg): 1 / cg})
+    mf = Poly(f.sig, {mono_div(lcm, lf): exact_div(1, cf)})
+    mg = Poly(g.sig, {mono_div(lcm, lg): exact_div(1, cg)})
     return mf * f - mg * g
 
 
@@ -561,7 +616,7 @@ def _echelon(rows, key):
             lead = max(row, key=key)
             pivot = pivots.get(lead)
             if pivot is None:
-                inv = 1 / row[lead]
+                inv = exact_div(1, row[lead])
                 pivots[lead] = {m: c * inv for m, c in row.items()}
                 break
             _axpy(row, -row[lead], pivot)

@@ -34,6 +34,8 @@ from chowcalc.poly import (
     Poly,
     Signature,
     as_int,
+    coefficient,
+    exact_div,
     grevlex_key,
     monomials_of_degree,
     parse_poly,
@@ -148,6 +150,7 @@ class ChowRing:
         self.rank = len(chern) if chern is not None else None
         self.zeta = sig.names[0] if chern is not None else None
         self.tangent_chern = tangent_chern  # list of Polys c_1..c_dim or None
+        self.todd = None  # normal form of td(T), set by bundles on first use
         if gb is not None:
             self.gb = gb
         elif self.relations:
@@ -161,8 +164,10 @@ class ChowRing:
                 raise ValueError("top graded piece of %s is not visibly "
                                  "one-dimensional" % label)
             mono, coeff = t.leading_term()
-            top = {mono: self.n / coeff}
-        self.top = top  # top-degree standard monomial -> integral
+            top = {mono: exact_div(self.n, coeff)}
+        # top-degree standard monomial -> integral, stored like a coefficient
+        self.top = None if top is None else {m: coefficient(v)
+                                             for m, v in top.items()}
 
     # element constructors -------------------------------------------------
 
@@ -208,8 +213,8 @@ class ChowRing:
             return Fraction(0)
         if self.top is None:
             raise ValueError("ring %s has no integration rule" % self.label)
-        return sum((c * self.top.get(m, 0) for m, c in x.rep.terms.items()),
-                   Fraction(0))
+        return Fraction(sum(c * self.top.get(m, 0)
+                            for m, c in x.rep.terms.items()))
 
     def pushforward(self, x: ChowClass) -> ChowClass:
         """pi_* to the base of a bundle ring (zeta-degree r-1 coefficient)."""

@@ -41,7 +41,7 @@ def divide(p, divisors):
         c = work.pop(m)
         for lm, terms in divs:
             if divides(lm, m):
-                factor = c / terms[lm]
+                factor = Fraction(c) / terms[lm]
                 shift = [x - y for x, y in zip(m, lm)]
                 for t, ct in terms.items():
                     if t != lm:
@@ -59,7 +59,7 @@ def divide(p, divisors):
 
 def monic(p):
     c = p.terms[lead(p.sig, p.terms)]
-    return Poly(p.sig, {m: v / c for m, v in p.terms.items()})
+    return Poly(p.sig, {m: Fraction(v) / c for m, v in p.terms.items()})
 
 
 def s_polynomial(f, g):
@@ -69,7 +69,7 @@ def s_polynomial(f, g):
     lcm = tuple(max(x, y) for x, y in zip(lf, lg))
     out = {}
     for terms, lm, sign in ((f.terms, lf, 1), (g.terms, lg, -1)):
-        factor = sign / terms[lm]
+        factor = Fraction(sign) / terms[lm]
         shift = [x - y for x, y in zip(lcm, lm)]
         for t, c in terms.items():
             key = tuple(x + y for x, y in zip(t, shift))
