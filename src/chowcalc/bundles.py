@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from chowcalc.poly import as_int
+from chowcalc.poly import as_int, exact_div
 from chowcalc.rings import ChowClass, ChowRing
 
 
@@ -186,12 +186,12 @@ def _todd_series_coefficients(top: int):
     Hirzebruch's closed form g_k = -B_k / (k k!) for k >= 1, with the
     Bernoulli numbers from sum_{j<=m} C(m+1, j) B_j = 0, B_0 = 1.
     """
-    bernoulli = [Fraction(1)]
+    bernoulli = [1]
     for m in range(1, top + 1):
-        bernoulli.append(-sum(comb(m + 1, j) * b
-                              for j, b in enumerate(bernoulli)) / (m + 1))
-    return [Fraction(0)] + [-bernoulli[k] / (k * factorial(k))
-                            for k in range(1, top + 1)]
+        total = sum(comb(m + 1, j) * b for j, b in enumerate(bernoulli))
+        bernoulli.append(exact_div(-total, m + 1))
+    return [0] + [exact_div(-bernoulli[k], k * factorial(k))
+                  for k in range(1, top + 1)]
 
 
 def todd_class(e: BundleClass) -> ChowClass:
@@ -253,6 +253,7 @@ def grr_push_curve(ambient: ChowRing, genus: int, curve_class: ChowClass,
     accepted as the degenerate point case (skyscraper: character equals the
     class itself).
     """
+    chi_c = as_int(sheaf_degree) + 1 - as_int(genus)
     n = ambient.dim
     if not curve_class.is_homogeneous() or curve_class.is_zero():
         raise ValueError("curve class must be nonzero homogeneous")
@@ -262,7 +263,6 @@ def grr_push_curve(ambient: ChowRing, genus: int, curve_class: ChowClass,
     if codim != n - 1:
         raise ValueError("curve class must have codimension %d, got %d"
                          % (n - 1, codim))
-    chi_c = Fraction(sheaf_degree) + 1 - genus
     pushed = curve_class + chi_c * point_class
     td_inv = _series_inverse(ambient.cls(_tangent_todd(ambient)))
     return sum(_graded_parts(pushed * td_inv, n), ambient.zero())

@@ -41,25 +41,30 @@ class Recorder:
 
     def __init__(self):
         self.lines: List[str] = []
+        self.verdicts = 0  # expect and claim calls, passed or not
         self.failures = 0
 
     def note(self, text: str) -> None:
         self.lines.append(text)
 
+    def fail(self, line: str) -> None:
+        self.failures += 1
+        self.lines.append(line)
+
     def expect(self, label: str, got, want) -> bool:
+        self.verdicts += 1
         if got == want:
             self.lines.append("%s = %s" % (label, got))
             return True
-        self.failures += 1
-        self.lines.append("FAIL %s = %s, expected %s" % (label, got, want))
+        self.fail("FAIL %s = %s, expected %s" % (label, got, want))
         return False
 
     def claim(self, label: str, holds: bool) -> bool:
+        self.verdicts += 1
         if holds:
             self.lines.append(label)
             return True
-        self.failures += 1
-        self.lines.append("FAIL " + label)
+        self.fail("FAIL " + label)
         return False
 
 
@@ -465,7 +470,7 @@ def _check_pencil_beta(seed: int, rec: Recorder) -> None:
         u, v = rng.randint(-9, 9), rng.randint(-9, 9)
         if u == 0 and v == 0:
             u = 1
-        ranks.add(p.rank_at(Fraction(u), Fraction(v)))
+        ranks.add(p.rank_at(u, v))
     rec.expect("ranks at 20 seeded parameter points", sorted(ranks), [4])
 
 
@@ -552,7 +557,7 @@ def _check_gw_point_oracle(seed: int, rec: Recorder) -> None:
         s = [[0] * 3 for _ in range(3)]
         for i in range(3):
             for j in range(i, 3):
-                s[i][j] = s[j][i] = Fraction(rng.randint(-4, 4))
+                s[i][j] = s[j][i] = rng.randint(-4, 4)
         plane = pencil.graph_plane(s)
         if not pencil.is_isotropic(plane):
             all_ok = False
@@ -694,10 +699,10 @@ def _suite_pfaffian(rng: random.Random) -> int:
     bad = 0
     for _ in range(SUITE_SIZE):
         n = rng.choice((2, 4, 6))
-        m = [[Fraction(0)] * n for _ in range(n)]
+        m = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                m[i][j] = Fraction(rng.randint(-9, 9))
+                m[i][j] = rng.randint(-9, 9)
                 m[j][i] = -m[i][j]
         if pencil.pfaffian(m) ** 2 != det(m):
             bad += 1
@@ -873,7 +878,14 @@ def run_check(check: Check, seed: int = DEFAULT_SEED) -> CheckResult:
         check = get_check(check)
     rec = Recorder()
     start = time.perf_counter()
-    check.fn(seed, rec)
+    try:
+        check.fn(seed, rec)
+    except Exception as exc:
+        # a body that did not finish decided nothing, so it cannot pass
+        rec.fail("ERROR %s: %s" % (type(exc).__name__, exc))
+    else:
+        if not rec.verdicts:
+            rec.fail("FAIL no claim or expectation was recorded")
     millis = int((time.perf_counter() - start) * 1000)
     return CheckResult(check.name, check.section, check.ref, check.slow,
                        seed, rec.failures == 0, rec.lines, millis)

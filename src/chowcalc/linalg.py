@@ -1,4 +1,5 @@
-"""Small dense exact linear algebra over Q (lists of lists of Fraction).
+"""Small dense exact linear algebra over Q: lists of lists of coefficients,
+stored like Poly's (poly.coefficient: an int when integral, else a Fraction).
 
 Row reduction (rref, and rank and inverse through it) is the sparse
 elimination that builds Groebner bases, poly._echelon; det keeps its own
@@ -10,13 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import neg
 
-from .poly import _echelon, as_fraction
+from .poly import _echelon, coefficient, exact_div
 
 
 def mat(rows):
-    """Deep-copy a matrix of equal-length rows into Fractions (no floats)."""
-    out = [[x if type(x) is Fraction else as_fraction(x) for x in row]
-           for row in rows]
+    """Deep-copy a matrix of equal-length rows, each entry admitted by
+    poly.coefficient (so no floats or bools)."""
+    out = [[coefficient(x) for x in row] for row in rows]
     if any(len(row) != len(out[0]) for row in out):
         raise ValueError("matrix rows have unequal lengths")
     return out
@@ -34,7 +35,7 @@ def transpose(a):
 
 
 def identity(n):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def rref(rows):
@@ -48,9 +49,9 @@ def rref(rows):
     echelon = _echelon([{c: x for c, x in enumerate(row) if x} for row in m],
                        neg)
     pivots = sorted(echelon)
-    out = [[echelon[p].get(c, Fraction(0)) for c in range(ncols)]
+    out = [[coefficient(echelon[p].get(c, 0)) for c in range(ncols)]
            for p in pivots]
-    out += [[Fraction(0)] * ncols for _ in range(len(m) - len(pivots))]
+    out += [[0] * ncols for _ in range(len(m) - len(pivots))]
     return out, pivots
 
 
@@ -58,25 +59,23 @@ def rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-def det(rows) -> Fraction:
+def det(rows) -> int | Fraction:
     m = _square(rows, "determinant")
     n = len(m)
-    sign = 1
-    result = Fraction(1)
+    result = 1
     for c in range(n):
         pivot = next((i for i in range(c, n) if m[i][c]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != c:
             m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
+            result = -result
         result *= m[c][c]
-        inv = 1 / m[c][c]
         for i in range(c + 1, n):
             if m[i][c]:
-                f = m[i][c] * inv
+                f = exact_div(m[i][c], m[c][c])
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return sign * result
+    return coefficient(result)
 
 
 def inverse(rows):

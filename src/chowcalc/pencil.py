@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import det, identity, inverse, rank, rref, transpose
-from .poly import GroebnerBasis, Poly, Signature, exact_div, parse_poly
+from .linalg import det, identity, inverse, mat, rank, rref, transpose
+from .poly import (GroebnerBasis, Poly, Signature, coefficient, exact_div,
+                   parse_poly)
 
 PENCIL_SIG = Signature.make((("u", 1), ("v", 1)))
 POINT_SIG = Signature.make(tuple(("z%d" % i, 1) for i in range(6)))
@@ -70,9 +71,9 @@ def beta_matrix() -> List[List[Poly]]:
             for row in _parse_rows(BETA_TEXT)]
 
 
-def flattening_matrix() -> List[List[Fraction]]:
+def flattening_matrix() -> List[List[int]]:
     """The built-in 12x12 scalar matrix, row layout as in the source text."""
-    return [[Fraction(cell) for cell in row]
+    return [[int(cell) for cell in row]
             for row in _parse_rows(FLATTENING_TEXT)]
 
 
@@ -92,7 +93,7 @@ def pfaffian(m):
     """Pfaffian of an antisymmetric matrix, by expansion along the first row.
 
     Works over any commutative coefficient type supporting +, -, *
-    (Fraction entries or Poly entries).  Raises on odd size or on a
+    (rational entries or Poly entries).  Raises on odd size or on a
     matrix that is not antisymmetric.
     """
     _check_skew(m)
@@ -152,7 +153,6 @@ class SkewPencil:
                                   and entry.degree() == 2):
                     raise ValueError("entries must be quadratics or zero")
         self.matrix = m
-        self.size = len(m)
 
     @classmethod
     def built_in(cls) -> "SkewPencil":
@@ -259,7 +259,7 @@ def _rational_projective_root(g: Poly) -> Optional[str]:
         for q in divisors(lead):
             for s in (1, -1):
                 t = Fraction(s * p, q)
-                if g.evaluate({"u": t, "v": Fraction(1)}) == 0:
+                if g.evaluate({"u": t, "v": 1}) == 0:
                     return "[%s:1]" % t
     return None
 
@@ -288,7 +288,7 @@ def constant_rank_certificate(pencil: SkewPencil) -> CertificateResult:
     g = binary_form_gcd(pencil.sub_pfaffians(4))
     if pf:
         for u, v in ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1)):
-            if pf.evaluate({"u": Fraction(u), "v": Fraction(v)}) != 0:
+            if pf.evaluate({"u": u, "v": v}) != 0:
                 return CertificateResult(
                     False, False, g,
                     "Pfaffian nonzero, e.g. rank 6 at [%d:%d]" % (u, v))
@@ -345,7 +345,7 @@ def interleaved_flattening(p: SkewPencil):
     """12x12 scalar matrix M[2i+s][2j+t] = (B_st)_ij for the pencil blocks."""
     b00, b01, b11 = _blocks_from_pencil(p)
     blocks = {(0, 0): b00, (0, 1): b01, (1, 0): b01, (1, 1): b11}
-    m = [[Fraction(0)] * 12 for _ in range(12)]
+    m = [[0] * 12 for _ in range(12)]
     for i in range(6):
         for j in range(6):
             for s in range(2):
@@ -364,9 +364,8 @@ class Quasimonad:
     flattening on the pivot indices.
     """
 
-    basis: List[List[Fraction]]
     pivots: List[int]
-    form: List[List[Fraction]]
+    form: List[List[int]]
     right: List[List[Poly]]
     left: List[List[Poly]]
 
@@ -375,14 +374,14 @@ class Quasimonad:
         m = flattening_matrix()
         _, pivots = rref(m)
         cols = transpose(m)
-        basis = [list(cols[c]) for c in pivots]
+        basis = [cols[c] for c in pivots]
         form = [[m[p][q] for q in pivots] for p in pivots]
         z = [Poly.variable(POINT_SIG, "z%d" % i) for i in range(6)]
         right = [[sum((w[2 * i + k] * z[i] for i in range(6)),
                       Poly.zero(POINT_SIG))
                   for w in basis] for k in range(2)]
         form_inv = inverse(form)
-        eps = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]]
+        eps = [[0, 1], [-1, 0]]
         # left = form^-1 . right^T . eps, a 6x2 matrix of linear forms
         rt = [[right[k][j] for k in range(2)] for j in range(6)]
         rte = [[sum((row[k] * eps[k][c] for k in range(2)),
@@ -390,9 +389,9 @@ class Quasimonad:
         left = [[sum((form_inv[j][p] * rte[p][c] for p in range(6)),
                      Poly.zero(POINT_SIG)) for c in range(2)]
                 for j in range(6)]
-        return cls(basis, list(pivots), form, right, left)
+        return cls(list(pivots), form, right, left)
 
-    def form_determinant(self) -> Fraction:
+    def form_determinant(self) -> int | Fraction:
         return det(self.form)
 
     def composition(self) -> List[List[Poly]]:
@@ -425,7 +424,7 @@ SAMPLES = 8  # seeded points at which quasimonad_checks probes both maps
 @dataclass
 class QuasimonadReport:
     composition_zero: bool
-    form_determinant: Fraction
+    form_determinant: int | Fraction
     left_rank_at_e0: int
     right_generic_rank: int  # the largest right-map rank over the samples
     sample_ranks: List[Tuple[Tuple[int, ...], int]]  # (point, left rank)
@@ -522,10 +521,11 @@ def adjugate3(m):
     return [[cof(j, i) for j in range(3)] for i in range(3)]
 
 
-def symplectic_product(u, w) -> Fraction:
+def symplectic_product(u, w) -> int | Fraction:
     """The standard form pairing slot i with slot 3+i."""
-    return sum(Fraction(u[i]) * Fraction(w[3 + i])
-               - Fraction(u[3 + i]) * Fraction(w[i]) for i in range(3))
+    u, w = mat([u, w])
+    return coefficient(sum(u[i] * w[3 + i] - u[3 + i] * w[i]
+                           for i in range(3)))
 
 
 def is_isotropic(vectors: Sequence[Sequence]) -> bool:
@@ -540,7 +540,7 @@ def plucker_abxy(vectors: Sequence[Sequence]):
     (slots 0..2 and 3..5); X and Y are the mixed blocks.  On the graph
     of a map S (columns of [I; S]) this returns (1, S, adj S, det S).
     """
-    m = [[Fraction(vec[r]) for vec in vectors] for r in range(6)]
+    m = transpose(mat(vectors))
 
     def p(i, j, k):
         return det([m[i], m[j], m[k]])
@@ -561,8 +561,8 @@ def gw_residuals(a, x, y, b):
     equations adj X = aY, adj Y = bX, YX = ab I, and the linear symmetry
     of X and Y.
     """
-    a = Fraction(a)
-    b = Fraction(b)
+    a, b = coefficient(a), coefficient(b)
+    x, y = mat(x), mat(y)
     out = []
     ax = adjugate3(x)
     ay = adjugate3(y)
@@ -571,7 +571,7 @@ def gw_residuals(a, x, y, b):
         for j in range(3):
             out.append(ax[i][j] - a * y[i][j])
             out.append(ay[i][j] - b * x[i][j])
-            out.append(yx[i][j] - (a * b if i == j else Fraction(0)))
+            out.append(yx[i][j] - (a * b if i == j else 0))
     for i in range(3):
         for j in range(i + 1, 3):
             out.append(x[i][j] - x[j][i])
@@ -581,8 +581,8 @@ def gw_residuals(a, x, y, b):
 
 def graph_plane(s):
     """Columns of [I; S] for a 3x3 matrix S, as three 6-vectors."""
-    return [[Fraction(1 if r == j else 0) for r in range(3)]
-            + [Fraction(s[i][j]) for i in range(3)] for j in range(3)]
+    return mat([[1 if r == j else 0 for r in range(3)]
+                + [s[i][j] for i in range(3)] for j in range(3)])
 
 
 def incidence_generators() -> List[Poly]:
@@ -628,8 +628,8 @@ def section_cofactors() -> List[List[Tuple[int, Poly]]]:
 
 def presentation_matrix(a, yvals):
     """The 2x6 matrix with rows (a,0,y0..y3) and (0,a,-y1..-y4)."""
-    a = Fraction(a)
-    y = [Fraction(c) for c in yvals]
+    a = coefficient(a)
+    y = [coefficient(c) for c in yvals]
     return [[a, 0, y[0], y[1], y[2], y[3]],
             [0, a, -y[1], -y[2], -y[3], -y[4]]]
 

@@ -5,9 +5,14 @@ weighted degree (each variable carries a positive integer weight).
 
 Coefficients are exact rationals stored integer-first: an `int` when the
 value is integral and a `fractions.Fraction` only when it is not, so that
-most arithmetic runs on ints rather than Fractions.  `coefficient` is the one
-normaliser (it also refuses floats and bools) and `exact_div` the one
-division; nothing here ever touches a float.
+most arithmetic runs on ints rather than Fractions.
+
+One gate for exact numbers, for the whole package: every number that enters
+it (a coefficient, a matrix entry, a point to evaluate at) passes through
+`coefficient`, which refuses floats and bools, and every count, degree or
+genus through `as_int`; every division of two numbers is `exact_div`.  So
+no float is ever turned into a binary fraction, and `int / int` never makes
+one.  tests/test_exactness_lint.py holds the rest of src/ to this.
 """
 
 from __future__ import annotations
@@ -63,14 +68,6 @@ class Signature:
         return sum(map(mul, self.weights, mono))
 
 
-def as_fraction(c) -> Fraction:
-    """An exact rational as a Fraction; floats and bools are refused."""
-    if isinstance(c, (float, bool)):
-        raise TypeError("coefficients must be exact rationals, not %s"
-                        % type(c).__name__)
-    return Fraction(c)
-
-
 def coefficient(c):
     """An exact rational in stored form: an int when it is integral, else a
     Fraction (whose denominator is then never 1).  Floats and bools are
@@ -79,18 +76,23 @@ def coefficient(c):
     if t is int:
         return c
     if t is not Fraction:
-        c = as_fraction(c)
+        if isinstance(c, (float, bool)):
+            raise TypeError("coefficients must be exact rationals, not %s"
+                            % t.__name__)
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
 def exact_div(a, b):
-    """a / b for exact rationals, in stored form (see `coefficient`)."""
+    """a / b for exact rationals, in stored form (see `coefficient`).  Past
+    the int case one of them is a Fraction, so `/` stays exact; a float
+    makes a float, which `coefficient` refuses."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         if not r:
             return q
         return Fraction(a, b)
-    return coefficient(Fraction(a) / b)
+    return coefficient(a / b)
 
 
 def as_int(x) -> int:
@@ -300,21 +302,22 @@ class Poly:
                 terms[tuple(0 if j == i else e for j, e in enumerate(m))] = c
         return Poly(self.sig, terms)
 
-    def evaluate(self, values: dict) -> Fraction:
-        """Full evaluation at a rational point given by {name: value}."""
+    def evaluate(self, values: dict) -> int | Fraction:
+        """Full evaluation at a rational point given by {name: value}, each
+        value admitted by `coefficient`; the result is in stored form."""
         vals = []
         for name in self.sig.names:
             if name not in values:
                 raise KeyError("no value supplied for %r" % name)
-            vals.append(Fraction(values[name]))
-        total = Fraction(0)
+            vals.append(coefficient(values[name]))
+        total = 0
         for m, c in self.terms.items():
             prod = c
             for v, e in zip(vals, m):
                 if e:
                     prod *= v ** e
             total += prod
-        return total
+        return coefficient(total)
 
     # printing -------------------------------------------------------------
 
@@ -390,12 +393,17 @@ class _Tokens:
 # any ring here, and small enough that one power cannot stall the parser.
 MAX_EXPONENT = 100
 
+# Most digits parse_poly accepts in a numerator or denominator literal
+# (leading zeros aside): below the 4300 digits that int() converts by default.
+MAX_DIGITS = 4000
+
 
 def parse_poly(text: str, sig: Signature) -> Poly:
     """Parse the wire grammar: + - * ^, integer and p/q literals, parens.
 
     ^ binds tightest and takes a nonnegative integer exponent of at most
     MAX_EXPONENT; unary minus binds loosest (applies to a whole product).
+    A literal has at most MAX_DIGITS digits.
     """
     toks = _Tokens(text)
     poly = _parse_expr(toks, sig)
@@ -452,17 +460,25 @@ def _parse_factor(toks: _Tokens, sig: Signature) -> Poly:
     return base
 
 
+def _literal(value: str, pos: int) -> int:
+    digits = value.lstrip("0") or "0"
+    if len(digits) > MAX_DIGITS:
+        raise ParseError("integer literal longer than %d digits" % MAX_DIGITS,
+                         pos)
+    return int(digits)
+
+
 def _parse_atom(toks: _Tokens, sig: Signature) -> Poly:
     kind, value, pos = toks.next()
     if kind == "int":
-        num = int(value)
+        num = _literal(value, pos)
         kind2, value2, _ = toks.peek()
         if kind2 == "op" and value2 == "/":
             toks.next()
             kind3, value3, pos3 = toks.next()
             if kind3 != "int":
                 raise ParseError("denominator must be an integer literal", pos3)
-            den = int(value3)
+            den = _literal(value3, pos3)
             if den == 0:
                 raise ParseError("zero denominator", pos3)
             return Poly.constant(sig, Fraction(num, den))

@@ -144,7 +144,7 @@ class ChowRing:
         self.relations = list(relations)
         self.dim = dim
         self.tau = tau
-        self.n = Fraction(n) if n is not None else None
+        self.n = coefficient(n) if n is not None else None
         self.base = base
         self.chern = chern
         self.rank = len(chern) if chern is not None else None
@@ -289,8 +289,8 @@ def _lifted_gb(sig: Signature, elements):
 
 
 def product_ring(a: ChowRing, b: ChowRing) -> ChowRing:
-    if a.tau is None or b.tau is None:
-        raise ValueError("product_ring needs two directly-normalized rings")
+    if a.top is None or b.top is None:
+        raise ValueError("product_ring needs two rings with integration rules")
     clash = set(a.sig.names) & set(b.sig.names)
     if clash:
         raise ValueError("variable name clash: %s" % ", ".join(sorted(clash)))
@@ -314,8 +314,7 @@ def product_ring(a: ChowRing, b: ChowRing) -> ChowRing:
         tangent = [prod.homogeneous_part(i) for i in range(1, a.dim + b.dim + 1)]
     return ChowRing("%s x %s" % (a.label, b.label),
                     sig, rels_a + rels_b, a.dim + b.dim, top=top,
-                    tau=_lift(a.tau, sig, 0) * _lift(b.tau, sig, off),
-                    n=a.n * b.n, tangent_chern=tangent, gb=gb)
+                    tangent_chern=tangent, gb=gb)
 
 
 def projective_bundle(base: ChowRing, chern, zeta: str, label=None) -> ChowRing:
@@ -362,6 +361,7 @@ def blowup_threefold_along_curve(base: ChowRing, curve, genus: int) -> ChowRing:
     Integration rules: pi^*D . e^2 = -(D.C)[pt], e^3 = -(-K.C + 2g - 2)[pt],
     e . pi^*(codim-2) = 0, and pi^* preserves base integrals.
     """
+    genus = as_int(genus)
     if base.dim != 3:
         raise ValueError("base must be a threefold")
     if base.tangent_chern is None:

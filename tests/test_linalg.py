@@ -126,7 +126,7 @@ def dense_rref(rows):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
+        inv = Fraction(1) / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
