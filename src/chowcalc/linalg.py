@@ -49,7 +49,7 @@ def rref(rows):
     echelon = _echelon([{c: x for c, x in enumerate(row) if x} for row in m],
                        neg)
     pivots = sorted(echelon)
-    out = [[coefficient(echelon[p].get(c, 0)) for c in range(ncols)]
+    out = [[echelon[p].get(c, 0) for c in range(ncols)]
            for p in pivots]
     out += [[0] * ncols for _ in range(len(m) - len(pivots))]
     return out, pivots

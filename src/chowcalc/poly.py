@@ -84,9 +84,11 @@ def coefficient(c):
 
 
 def exact_div(a, b):
-    """a / b for exact rationals, in stored form (see `coefficient`).  Past
-    the int case one of them is a Fraction, so `/` stays exact; a float
-    makes a float, which `coefficient` refuses."""
+    """a / b for exact rationals, in stored form (see `coefficient`).  Both
+    operands pass `coefficient` first, so a float or a bool is refused
+    whatever the other one is; past the int case one of them is a Fraction,
+    so `/` stays exact."""
+    a, b = coefficient(a), coefficient(b)
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         if not r:
@@ -622,7 +624,8 @@ def groebner_basis(generators):
 def _echelon(rows, key):
     """Fully reduced echelon form of sparse rows: {pivot: monic row}.
 
-    Consumes the rows (dicts mono -> coeff, reduced in place).  Each pivot
+    Consumes the rows (dicts mono -> coeff in stored form, reduced in
+    place); every entry it stores stays in stored form.  Each pivot
     is the row's largest monomial under `key`; after the back-substitution
     no row holds another row's pivot.
     """
@@ -633,7 +636,8 @@ def _echelon(rows, key):
             pivot = pivots.get(lead)
             if pivot is None:
                 inv = exact_div(1, row[lead])
-                pivots[lead] = {m: c * inv for m, c in row.items()}
+                pivots[lead] = {m: coefficient(c * inv)
+                                for m, c in row.items()}
                 break
             _axpy(row, -row[lead], pivot)
     for lead in sorted(pivots, key=key):
@@ -644,9 +648,12 @@ def _echelon(rows, key):
 
 
 def _axpy(row, factor, other):
-    """row += factor * other, dropping cancelled entries."""
+    """row += factor * other, dropping cancelled entries; entries are
+    kept in stored form (see `coefficient`)."""
     for m, c in other.items():
         v = row.get(m, 0) + factor * c
+        if type(v) is not int:
+            v = coefficient(v)
         if v:
             row[m] = v
         else:

@@ -13,6 +13,11 @@ from the exceptional-divisor rules in blowup_threefold_along_curve; and as
 m -> integral over P1^4 of m (alpha_1 + ... + alpha_4) for the
 hyperplane-section model FB.
 
+Every class is held in normal form, and every operation reduces its result
+once.  A power x^n of a single term (zeta^n, say) is a single term, so it
+is raised in Q[vars] and reduced once; any other power is squared and
+multiplied, about 2 log2 n products, each reduced.
+
 Presented rings compute their reduced basis degree by degree
 (poly.groebner_basis).  Derived rings compute none: they lift the reduced
 bases of their factors or base, and a bundle adds its tautological
@@ -94,10 +99,21 @@ class ChowClass:
         n = as_int(n)
         if n < 0:
             raise ValueError("negative power of a Chow class")
-        out = self.ring.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        if n == 0:
+            return self.ring.one()
+        if len(self.rep.terms) <= 1:
+            # a power of a term is a term: one normal form
+            return ChowClass(self.ring, self.rep ** n)
+        # square and multiply, each product in normal form
+        out = None
+        base = self
+        while True:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -131,6 +147,10 @@ class ChowClass:
 class ChowRing:
     """A presented ring and its top-degree functional, as described above.
 
+    The functional comes either as `top` or from the normalization (tau, n),
+    tau's integral being n; anything else (tau without n, n without tau,
+    `top` with either) is a ValueError, after n itself passes `coefficient`.
+
     A projective bundle also passes `base` and `chern`, the base Polys
     c_1..c_r (zeros included): its `rank` is len(chern) and its bundle
     variable `zeta` is sig.names[0], where projective_bundle puts it.
@@ -144,7 +164,13 @@ class ChowRing:
         self.relations = list(relations)
         self.dim = dim
         self.tau = tau
-        self.n = coefficient(n) if n is not None else None
+        n = coefficient(n) if n is not None else None
+        if (tau is None) != (n is None):
+            raise ValueError("the normalization of %s needs both tau and n"
+                             % label)
+        if top is not None and tau is not None:
+            raise ValueError("%s takes either top or (tau, n), not both"
+                             % label)
         self.base = base
         self.chern = chern
         self.rank = len(chern) if chern is not None else None
@@ -157,14 +183,14 @@ class ChowRing:
             self.gb = GroebnerBasis(self.relations)
         else:
             self.gb = None
-        if top is None and tau is not None:
+        if tau is not None:
             t = self.normal_form(tau)
             if len(t.terms) != 1 \
                     or self.standard_monomials(dim) != [t.leading_monomial()]:
                 raise ValueError("top graded piece of %s is not visibly "
                                  "one-dimensional" % label)
             mono, coeff = t.leading_term()
-            top = {mono: exact_div(self.n, coeff)}
+            top = {mono: exact_div(n, coeff)}
         # top-degree standard monomial -> integral, stored like a coefficient
         self.top = None if top is None else {m: coefficient(v)
                                              for m, v in top.items()}

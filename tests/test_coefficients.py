@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from chowcalc import checks, cli, rings
+from chowcalc import checks, cli, linalg, poly, rings
 from chowcalc.poly import Poly, Signature, coefficient, exact_div, parse_poly
 
 XY = Signature.make([("x", 1), ("y", 1)])
@@ -87,6 +87,48 @@ def test_normaliser_and_exact_division():
     assert parse_poly("3*x - 6*y", XY).monic().terms == {(1, 0): 1, (0, 1): -2}
     assert parse_poly("2*x + 3*y", XY).monic().terms \
         == {(1, 0): 1, (0, 1): Fraction(3, 2)}
+
+
+@pytest.mark.parametrize("a, b", [(True, Fraction(1, 2)),
+                                  (Fraction(1, 2), True), (False, 3),
+                                  (3, True), (True, True), (0.5, 0.25),
+                                  (Fraction(1, 2), 0.5), (2.0, 1)])
+def test_exact_div_refuses_bools_and_floats_on_either_side(a, b):
+    with pytest.raises(TypeError):
+        exact_div(a, b)
+
+
+def test_echelon_entries_stay_canonical(monkeypatch):
+    """Every row entry `_echelon` stores, and every `_axpy` result, is in
+    stored form, both in catalog Groebner builds and in `linalg.rref`."""
+    echelon, axpy = poly._echelon, poly._axpy
+    seen = []
+
+    def recording_echelon(rows, key):
+        pivots = echelon(rows, key)
+        seen.extend(c for row in pivots.values() for c in row.values())
+        return pivots
+
+    def recording_axpy(row, factor, other):
+        axpy(row, factor, other)
+        seen.extend(row.values())
+
+    monkeypatch.setattr(poly, "_echelon", recording_echelon)
+    monkeypatch.setattr(linalg, "_echelon", recording_echelon)
+    monkeypatch.setattr(poly, "_axpy", recording_axpy)
+    # rebuild the catalog so that its bases are built under observation
+    rings.catalog.cache_clear()
+    for name in ("B", "G26", "Gw36", "P1^4"):
+        rings.catalog(name)
+    built = len(seen)
+    assert built > 200
+    red, pivots = linalg.rref([[2, 4, 6, 3], [3, 5, 7, 1], [5, 9, 14, 4]])
+    assert pivots == [0, 1, 2]
+    assert red == [[1, 0, 0, Fraction(-11, 2)], [0, 1, 0, Fraction(7, 2)],
+                   [0, 0, 1, 0]]
+    assert len(seen) > built
+    assert all(is_canonical(c) for c in seen)
+    assert all(is_canonical(c) for row in red for c in row)
 
 
 @pytest.mark.parametrize("name", ["B", "P5"])

@@ -233,6 +233,22 @@ class TestConstructors:
         with pytest.raises(ValueError):
             free.integrate(free.var("x") * free.var("y"))
 
+    def test_normalization_must_be_consistent(self):
+        sig = Signature.make([("x", 1)])
+        x = Poly.variable(sig, "x")
+        rels = [x * x]
+        for keywords in ({"top": {(1,): 1}, "tau": x, "n": 1},
+                         {"top": {(1,): 1}, "tau": x},
+                         {"top": {(1,): 1}, "n": 1},
+                         {"n": 5}, {"tau": x}):
+            with pytest.raises(ValueError):
+                ChowRing("P1", sig, rels, 1, **keywords)
+        with pytest.raises(ValueError):
+            ChowRing("S", sig, [], 1, n=5)
+        assert ChowRing("P1", sig, rels, 1, tau=x, n=2).top == {(1,): 2}
+        assert ChowRing("P1", sig, rels, 1, top={(1,): 3}).top == {(1,): 3}
+        assert ChowRing("P1", sig, rels, 1).top is None
+
     def test_bundle_chern_classes_must_be_homogeneous(self):
         base = projective_space(2, var="t")
         t = base.var("t")
