@@ -854,10 +854,17 @@ def select_checks(names: Optional[Sequence[str]] = None,
                   include_slow: bool = False) -> List[Check]:
     """Checks to run: explicit names bypass the slow filter.
 
-    A section must name at least one section-specific check; the
-    cross-cutting checks (section "all") run with every section.
+    A name given twice is refused rather than run twice.  A section must
+    name at least one section-specific check; the cross-cutting checks
+    (section "all") run with every section.
     """
     if names:
+        seen = set()
+        for n in names:
+            if n in seen:
+                raise UnknownCheckError(
+                    "check %r is given more than once" % n)
+            seen.add(n)
         return [get_check(n) for n in names]
     chosen = list(_CHECKS)
     if section is not None:

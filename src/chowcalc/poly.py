@@ -13,6 +13,10 @@ it (a coefficient, a matrix entry, a point to evaluate at) passes through
 genus through `as_int`; every division of two numbers is `exact_div`.  So
 no float is ever turned into a binary fraction, and `int / int` never makes
 one.  tests/test_exactness_lint.py holds the rest of src/ to this.
+
+A `Poly` is immutable, so it finds its leading term once, on the first
+`leading_term()` call, and keeps it: a normal form modulo a fixed basis
+reads each divisor's lead without re-scanning its terms.
 """
 
 from __future__ import annotations
@@ -134,7 +138,7 @@ def grevlex_key(sig: Signature, mono: Monomial):
 class Poly:
     """Immutable sparse polynomial attached to a Signature."""
 
-    __slots__ = ("sig", "terms", "_hash")
+    __slots__ = ("sig", "terms", "_hash", "_lead")
 
     def __init__(self, sig: Signature, terms=None):
         object.__setattr__(self, "sig", sig)
@@ -147,6 +151,7 @@ class Poly:
                     clean[tuple(mono)] = coeff
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_lead", None)
 
     # construction helpers -------------------------------------------------
 
@@ -276,21 +281,18 @@ class Poly:
         return sorted(self.terms.items(), key=key, reverse=True)
 
     def leading_term(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms, key=lambda m: grevlex_key(self.sig, m))
-        return mono, self.terms[mono]
+        """(monomial, coefficient) of the grevlex-largest term.  Found on
+        the first call and kept, since a Poly never changes; the zero
+        polynomial has none and raises ValueError on every call."""
+        if self._lead is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            mono = max(self.terms, key=lambda m: grevlex_key(self.sig, m))
+            object.__setattr__(self, "_lead", (mono, self.terms[mono]))
+        return self._lead
 
     def leading_monomial(self) -> Monomial:
         return self.leading_term()[0]
-
-    def leading_coefficient(self) -> int | Fraction:
-        return self.leading_term()[1]
-
-    def monic(self) -> "Poly":
-        if not self.terms:
-            return self
-        return self.scale(exact_div(1, self.leading_coefficient()))
 
     def constant_term(self) -> int | Fraction:
         return self.terms.get((0,) * len(self.sig), 0)

@@ -61,6 +61,15 @@ class TestRun:
         assert main(["run", "--check", "deg-FB-25"]) == 2
         assert "deg-FB-25" in capsys.readouterr().err
 
+    def test_repeated_check_exits_2(self, capsys):
+        argv = ["run", "--check", "deg-G26-14", "--check", "deg-G26-14"]
+        for fmt in ("text", "json"):
+            assert main(argv + ["--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert "'deg-G26-14'" in captured.err
+            assert "more than once" in captured.err
+            assert captured.out == ""
+
     def test_all_and_check_conflict(self, capsys):
         assert main(["run", "--all", "--check", "deg-FB-24"]) == 2
         assert "not both" in capsys.readouterr().err

@@ -9,8 +9,8 @@ from reference_groebner import buchberger
 from chowcalc.bundles import BundleClass, twist
 from chowcalc.linalg import rank
 from chowcalc.pencil import Quasimonad
-from chowcalc.poly import (GroebnerBasis, Poly, Signature, grevlex_key,
-                           parse_poly)
+from chowcalc.poly import (GroebnerBasis, Poly, Signature, exact_div,
+                           grevlex_key, parse_poly)
 from chowcalc.rings import (ChowRing, blowup_threefold_along_curve, catalog,
                             integrate_on_hyperplane_section, product_p1,
                             product_ring, projective_bundle, projective_space,
@@ -322,6 +322,11 @@ class TestLiftedBases:
 XYZ = Signature.make([("x", 1), ("y", 1), ("z", 1)])
 
 
+def _monic(p):
+    _, lc = p.leading_term()
+    return p.scale(exact_div(1, lc))
+
+
 class TestSympyOracle:
     """Reduced grevlex bases of weight-1 ideals agree with sympy's."""
 
@@ -344,8 +349,8 @@ class TestSympyOracle:
                      for m, c in g.terms.items()}, symbols).as_expr()
                  for g in gens]
         reference = [
-            Poly(sig, {m: Fraction(int(c.p), int(c.q))
-                       for m, c in p.terms()}).monic()
+            _monic(Poly(sig, {m: Fraction(int(c.p), int(c.q))
+                              for m, c in p.terms()}))
             for p in sympy.groebner(exprs, *symbols, order="grevlex",
                                     domain="QQ").polys]
         reference.sort(key=lambda p: grevlex_key(sig, p.leading_monomial()))
