@@ -10,9 +10,7 @@ weight |w + rho| (entries sorted decreasingly) - rho.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .poly import as_int
+from .poly import as_int, exact_div
 
 RHO = (3, 2, 1)
 
@@ -63,9 +61,7 @@ def weyl_dim_c3(lam):
     for root in _POSITIVE_ROOTS:
         num *= sum(c * (l + r) for c, l, r in zip(root, lam, RHO))
         den *= sum(c * r for c, r in zip(root, RHO))
-    q = Fraction(num, den)
-    assert q.denominator == 1
-    return int(q)
+    return as_int(exact_div(num, den))
 
 
 def cohomology(w):

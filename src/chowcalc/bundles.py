@@ -25,6 +25,8 @@ class BundleClass:
         self.ring = ring
         self.rank = as_int(rank)
         cs = [c if isinstance(c, ChowClass) else ring.cls(c) for c in chern]
+        if any(c.ring is not ring for c in cs):
+            raise ValueError("a Chern class lives on a different ring")
         if len(cs) > ring.dim:
             cs = cs[:ring.dim]
         while len(cs) < ring.dim:

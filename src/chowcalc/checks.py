@@ -337,9 +337,11 @@ def _check_gensa2b_relation(seed: int, rec: Recorder) -> None:
 
 
 def _check_ai_coefficient(seed: int, rec: Recorder) -> None:
-    # symbolic surface ring: h_2 a divisor class, c_2 a free degree-2 class
+    # symbolic surface ring: h_2 a divisor class, c_2 a free degree-2 class,
+    # truncated above the surface's dimension 2
     sig = Signature.make([("h_2", 1), ("c_2", 2)])
-    s = ChowRing("S", sig, [], 2)
+    s = ChowRing("S", sig, [parse_poly(r, sig)
+                            for r in ("h_2^3", "h_2*c_2", "c_2^2")], 2)
     h2, c2 = s.var("h_2"), s.var("c_2")
     k2 = BundleClass(s, 2, [-h2, c2])
     perp = whitney_quotient(BundleClass.trivial(s, 6), dual(k2))
@@ -826,7 +828,8 @@ _CHECKS = [
 ]
 
 REGISTRY: Dict[str, Check] = {c.name: c for c in _CHECKS}
-assert len(REGISTRY) == len(_CHECKS), "duplicate check names"
+if len(REGISTRY) != len(_CHECKS):
+    raise ValueError("duplicate check names")
 
 
 def check_names() -> List[str]:

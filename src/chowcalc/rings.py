@@ -1,13 +1,13 @@
 """Presented Chow rings with exact integration.
 
 A ring is a graded quotient Q[vars]/I, held through the reduced Groebner
-basis of I, with a dimension and a top-degree functional `top` that maps
-standard monomials of degree `dim` to their integrals (absent monomials
-integrate to 0).  Integrating a class is one dot product of `top` with its
-normal form.  Each constructor builds `top` once: from a normalization
-(tau, n) for presented rings, whose top piece must be one standard
-monomial; as the product of the factors' maps in product_ring; as
-zeta^(r-1) m -> integral over the base of m in projective_bundle, in the
+basis of I (every ring has one), with a dimension and a top-degree
+functional `top` that maps standard monomials of degree `dim` to their
+integrals (absent monomials integrate to 0).  Integrating a class is one dot
+product of `top` with its normal form.  Each constructor builds `top` once:
+in presented, from a normalization tau -> n, where the top piece must be
+one standard monomial; as the product of the factors' maps in product_ring;
+as zeta^(r-1) m -> integral over the base of m in projective_bundle, in the
 rank-one-quotient convention zeta^r - c1 zeta^(r-1) + ... + (-1)^r c_r = 0;
 from the exceptional-divisor rules in blowup_threefold_along_curve; and as
 m -> integral over P1^4 of m (alpha_1 + ... + alpha_4) for the
@@ -25,7 +25,7 @@ relation, whose lead zeta^r is coprime to every base lead.  One embedding,
 _lift, moves a Poly into a derived ring's variables: the base's (or a
 factor's) variables sit at a fixed offset in the new signature, and the
 exponent tuples are padded with zeros on both sides (pushforward drops
-them again).
+them again).  A bundle or a blow-up refuses a class of another ring.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from chowcalc.poly import (
     coefficient,
     exact_div,
     grevlex_key,
-    monomials_of_degree,
     parse_poly,
 )
 
@@ -54,7 +53,7 @@ class ChowClass:
 
     def __init__(self, ring: "ChowRing", rep: Poly):
         self.ring = ring
-        self.rep = ring.gb.normal_form(rep) if ring.gb is not None else rep
+        self.rep = ring.gb.normal_form(rep)
 
     def _coerce(self, other):
         if isinstance(other, ChowClass):
@@ -147,50 +146,29 @@ class ChowClass:
 class ChowRing:
     """A presented ring and its top-degree functional, as described above.
 
-    The functional comes either as `top` or from the normalization (tau, n),
-    tau's integral being n; anything else (tau without n, n without tau,
-    `top` with either) is a ValueError, after n itself passes `coefficient`.
+    `gb`, the reduced basis of the relations' ideal, is computed from them
+    when not given, so a ring needs a nonzero relation.  A ring without
+    `top` refuses to integrate; presented() makes `top` from a
+    normalization.
 
     A projective bundle also passes `base` and `chern`, the base Polys
     c_1..c_r (zeros included): its `rank` is len(chern) and its bundle
     variable `zeta` is sig.names[0], where projective_bundle puts it.
     """
 
-    def __init__(self, label, sig, relations, dim, *,
-                 top=None, tau=None, n=None, base=None, chern=None,
-                 tangent_chern=None, gb=None):
+    def __init__(self, label, sig, relations, dim, *, top=None, base=None,
+                 chern=None, tangent_chern=None, gb=None):
         self.label = label
         self.sig = sig
         self.relations = list(relations)
         self.dim = dim
-        self.tau = tau
-        n = coefficient(n) if n is not None else None
-        if (tau is None) != (n is None):
-            raise ValueError("the normalization of %s needs both tau and n"
-                             % label)
-        if top is not None and tau is not None:
-            raise ValueError("%s takes either top or (tau, n), not both"
-                             % label)
         self.base = base
         self.chern = chern
         self.rank = len(chern) if chern is not None else None
         self.zeta = sig.names[0] if chern is not None else None
         self.tangent_chern = tangent_chern  # list of Polys c_1..c_dim or None
         self.todd = None  # normal form of td(T), set by bundles on first use
-        if gb is not None:
-            self.gb = gb
-        elif self.relations:
-            self.gb = GroebnerBasis(self.relations)
-        else:
-            self.gb = None
-        if tau is not None:
-            t = self.normal_form(tau)
-            if len(t.terms) != 1 \
-                    or self.standard_monomials(dim) != [t.leading_monomial()]:
-                raise ValueError("top graded piece of %s is not visibly "
-                                 "one-dimensional" % label)
-            mono, coeff = t.leading_term()
-            top = {mono: exact_div(n, coeff)}
+        self.gb = gb if gb is not None else GroebnerBasis(self.relations)
         # top-degree standard monomial -> integral, stored like a coefficient
         self.top = None if top is None else {m: coefficient(v)
                                              for m, v in top.items()}
@@ -218,15 +196,13 @@ class ChowRing:
     # structure ------------------------------------------------------------
 
     def normal_form(self, p: Poly) -> Poly:
-        return self.gb.normal_form(p) if self.gb is not None else p
+        return self.gb.normal_form(p)
 
     def standard_monomials(self, degree: int):
-        if self.gb is None:
-            return monomials_of_degree(self.sig, degree)
         return self.gb.standard_monomials(degree)
 
     def hilbert_function(self):
-        return [len(self.standard_monomials(d)) for d in range(self.dim + 1)]
+        return self.gb.hilbert_function(self.dim)
 
     # integration ----------------------------------------------------------
 
@@ -267,14 +243,31 @@ class ChowRing:
 # constructors ---------------------------------------------------------------
 
 
+def presented(label, sig, relations, dim, tau, n,
+              tangent_chern=None) -> ChowRing:
+    """Q[sig]/(relations), normalized so that the class tau integrates to n.
+
+    The top graded piece must be one standard monomial m; tau's normal form
+    c m then gives top = {m: n / c}.
+    """
+    gb = GroebnerBasis(relations)
+    t = gb.normal_form(tau)
+    if len(t.terms) != 1 \
+            or gb.standard_monomials(dim) != [t.leading_monomial()]:
+        raise ValueError("top graded piece of %s is not visibly "
+                         "one-dimensional" % label)
+    mono, c = t.leading_term()
+    return ChowRing(label, sig, relations, dim, top={mono: exact_div(n, c)},
+                    tangent_chern=tangent_chern, gb=gb)
+
+
 def projective_space(n: int, var: str = "h") -> ChowRing:
     sig = Signature.make([(var, 1)])
     h = Poly.variable(sig, var)
     tangent = [Poly.constant(sig, comb(n + 1, i)) * h ** i
                for i in range(1, n + 1)]
-    return ChowRing("P%d" % n if var == "h" else "P%d[%s]" % (n, var),
-                    sig, [h ** (n + 1)], n,
-                    tau=h ** n, n=1, tangent_chern=tangent)
+    return presented("P%d" % n if var == "h" else "P%d[%s]" % (n, var),
+                     sig, [h ** (n + 1)], n, h ** n, 1, tangent)
 
 
 def product_p1(k: int) -> ChowRing:
@@ -288,8 +281,7 @@ def product_p1(k: int) -> ChowRing:
     for a in alphas:
         ct = ct * (Poly.one(sig) + 2 * a)
     tangent = [ct.homogeneous_part(i) for i in range(1, k + 1)]
-    return ChowRing("P1^%d" % k, sig, rels, k,
-                    tau=tau, n=1, tangent_chern=tangent)
+    return presented("P1^%d" % k, sig, rels, k, tau, 1, tangent)
 
 
 def _lift(p: Poly, sig: Signature, offset: int) -> Poly:
@@ -299,16 +291,24 @@ def _lift(p: Poly, sig: Signature, offset: int) -> Poly:
     return Poly(sig, {left + m + right: c for m, c in p.terms.items()})
 
 
+def _on(ring: ChowRing, x, what: str) -> Poly:
+    """The Poly of a class of ring; a Poly passes as it is."""
+    if not isinstance(x, ChowClass):
+        return x
+    if x.ring is not ring:
+        raise ValueError("%s lives on %s, not on %s"
+                         % (what, x.ring.label, ring.label))
+    return x.rep
+
+
 def _lifted(ring: ChowRing, sig: Signature, offset: int):
     """The ring's relations and reduced basis, each lifted by _lift."""
     return ([_lift(r, sig, offset) for r in ring.relations],
-            [_lift(g, sig, offset) for g in ring.gb or ()])
+            [_lift(g, sig, offset) for g in ring.gb])
 
 
 def _lifted_gb(sig: Signature, elements):
     """Wrap an already reduced basis, sorted by ascending leading monomial."""
-    if not elements:
-        return None
     elements = sorted(elements,
                       key=lambda p: grevlex_key(sig, p.leading_monomial()))
     return GroebnerBasis(elements, precomputed=True)
@@ -350,8 +350,8 @@ def projective_bundle(base: ChowRing, chern, zeta: str, label=None) -> ChowRing:
     homogeneous of its degree or zero; the tautological relation uses the
     rank-one-quotient sign convention zeta^r - c_1 zeta^(r-1) + ... = 0.
     """
-    cherns = [base.normal_form(c.rep if isinstance(c, ChowClass) else c)
-              for c in chern]
+    cherns = [base.normal_form(_on(base, c, "c_%d" % i))
+              for i, c in enumerate(chern, start=1)]
     r = len(cherns)
     if zeta in base.sig.names:
         raise ValueError("zeta name clashes with a base variable")
@@ -392,7 +392,7 @@ def blowup_threefold_along_curve(base: ChowRing, curve, genus: int) -> ChowRing:
         raise ValueError("base must be a threefold")
     if base.tangent_chern is None:
         raise ValueError("base needs tangent data to know its canonical class")
-    curve_rep = curve.rep if isinstance(curve, ChowClass) else curve
+    curve_rep = _on(base, curve, "curve class")
     if base.sig.wdeg(curve_rep.leading_monomial()) != 2:
         raise ValueError("curve class must have codimension 2")
     if "e" in base.sig.names:
@@ -434,15 +434,13 @@ def catalog(name: str) -> ChowRing:
         sig = Signature.make([("h_2", 1), ("c_2", 2)])
         rels = [parse_poly("h_2^5 + 3*h_2*c_2^2 - 4*h_2^3*c_2", sig),
                 parse_poly("-h_2^4*c_2 + 3*h_2^2*c_2^2 - c_2^3", sig)]
-        return ChowRing("G26", sig, rels, 8,
-                        tau=parse_poly("h_2^8", sig), n=14)
+        return presented("G26", sig, rels, 8, parse_poly("h_2^8", sig), 14)
     if name == "Gw36":
         sig = Signature.make([("c_1'", 1), ("c_2'", 2), ("c_3'", 3)])
         rels = [parse_poly("c_3'^2", sig),
                 parse_poly("c_2'^2 - 2*c_1'*c_3'", sig),
                 parse_poly("c_1'^2 - 2*c_2'", sig)]
-        return ChowRing("Gw36", sig, rels, 6,
-                        tau=parse_poly("c_1'^6", sig), n=16)
+        return presented("Gw36", sig, rels, 6, parse_poly("c_1'^6", sig), 16)
     if name == "B":
         sig = Signature.make([("h_3", 1)] +
                              [("a_%d" % i, 2) for i in range(1, 5)])
@@ -452,8 +450,7 @@ def catalog(name: str) -> ChowRing:
         for i in range(1, 5):
             for j in range(i + 1, 5):
                 rels.append(parse_poly("8*a_%d*a_%d - h_3^4" % (i, j), sig))
-        return ChowRing("B", sig, rels, 4,
-                        tau=parse_poly("h_3^4", sig), n=16)
+        return presented("B", sig, rels, 4, parse_poly("h_3^4", sig), 16)
     if name == "FB":
         p1_4 = catalog("P1^4")
         divisor = parse_poly("alpha_1 + alpha_2 + alpha_3 + alpha_4", p1_4.sig)

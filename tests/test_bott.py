@@ -113,6 +113,7 @@ class TestDimensions:
     ])
     def test_weyl_dimension_anchors(self, lam, dim):
         assert weyl_dim_c3(lam) == dim
+        assert type(weyl_dim_c3(lam)) is int
 
     @pytest.mark.parametrize("weight,expected", [
         ((0, 0, 0), (0, 1)),

@@ -62,6 +62,14 @@ class TestAlgebra:
             d = rng.randint(-2, 2) * h
             assert twist(twist(e, d), -d) == e
 
+    def test_bundle_refuses_a_class_of_another_ring(self):
+        p3, other = projective_space(3), projective_space(3)
+        with pytest.raises(ValueError, match="different ring"):
+            BundleClass(p3, 2, [p3.var("h"), other.var("h") ** 2])
+        # Polys in the ring's variables are taken as they are
+        h = p3.var("h")
+        assert BundleClass(p3, 1, [h.rep]) == BundleClass.line(p3, h)
+
     def test_twist_of_line_bundle_adds_divisors(self):
         p3 = projective_space(3)
         h = p3.var("h")

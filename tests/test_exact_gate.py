@@ -15,7 +15,7 @@ from chowcalc.pencil import (PENCIL_SIG, SkewPencil, graph_plane,
                              presentation_matrix, rank_two_point,
                              symplectic_product)
 from chowcalc.poly import Poly, Signature, parse_poly
-from chowcalc.rings import ChowRing, projective_space
+from chowcalc.rings import presented, projective_space
 
 BAD = [0.5, True]
 
@@ -26,10 +26,10 @@ def _put(vector, i, value):
     return out
 
 
-def _chow_ring(n):
+def _presented(n):
     sig = Signature.make([("x", 1)])
     x = Poly.variable(sig, "x")
-    return ChowRing("P1", sig, [x * x], 1, tau=x, n=n)
+    return presented("P1", sig, [x * x], 1, x, n)
 
 
 def _grr(degree):
@@ -67,9 +67,7 @@ PROBES = {
         2, [1, 2, bad, 4, 5]),
     "SkewPencil.rank_at": lambda bad: SkewPencil.built_in().rank_at(bad, 1),
     "grr_push_curve": _grr,
-    "ChowRing(n=...)": _chow_ring,
-    "ChowRing(n=...) without tau": lambda bad: ChowRing(
-        "S", Signature.make([("x", 1)]), [], 1, n=bad),
+    "presented(n=...)": _presented,
 }
 
 
@@ -93,8 +91,8 @@ def test_the_same_entry_points_take_exact_numbers():
     assert all(r == 0 for r in gw_residuals(a, x, y, b))
     assert presentation_matrix(half, [1, 2, 3, 4, 5])[0][0] == half
     assert SkewPencil.built_in().rank_at(Fraction(3), -2) == 4
-    assert _chow_ring(Fraction(4, 2)).top == {(1,): 2}
-    assert type(_chow_ring(Fraction(4, 2)).top[(1,)]) is int
+    assert _presented(Fraction(4, 2)).top == {(1,): 2}
+    assert type(_presented(Fraction(4, 2)).top[(1,)]) is int
 
 
 def test_as_fraction_is_gone():

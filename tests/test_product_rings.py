@@ -47,7 +47,6 @@ def test_blowup_of_a_product_reads_its_canonical_class():
 
 def test_products_of_derived_rings_build():
     ring = product_ring(projective_space(1, var="s"), catalog("Pi"))
-    assert ring.tau is None
     s, sigma, h = ring.var("s"), ring.var("sigma"), ring.var("h")
     assert ring.integrate(s * sigma * h ** 3) == 1
     assert ring.integrate(s * h ** 4) == 2

@@ -12,9 +12,9 @@ from chowcalc.pencil import Quasimonad
 from chowcalc.poly import (GroebnerBasis, Poly, Signature, exact_div,
                            grevlex_key, parse_poly)
 from chowcalc.rings import (ChowRing, blowup_threefold_along_curve, catalog,
-                            integrate_on_hyperplane_section, product_p1,
-                            product_ring, projective_bundle, projective_space,
-                            relative_canonical)
+                            integrate_on_hyperplane_section, presented,
+                            product_p1, product_ring, projective_bundle,
+                            projective_space, relative_canonical)
 
 
 def ballot_path_count(steps_up, steps_down):
@@ -82,17 +82,21 @@ class TestDerivedOracles:
 
 
 class TestCatalog:
-    @pytest.mark.parametrize("name,dim,top", [
-        ("P3", 3, 1), ("P5", 5, 1), ("P1^4", 4, 1),
-        ("G26", 8, 14), ("Gw36", 6, 16), ("B", 4, 16),
+    @pytest.mark.parametrize("name,dim,tau,n", [
+        pytest.param(name, dim, tau, n, id="%s-%d-%d" % (name, dim, n))
+        for name, dim, tau, n in [
+            ("P3", 3, "h^3", 1), ("P5", 5, "h^5", 1),
+            ("P1^4", 4, "alpha_1*alpha_2*alpha_3*alpha_4", 1),
+            ("G26", 8, "h_2^8", 14), ("Gw36", 6, "c_1'^6", 16),
+            ("B", 4, "h_3^4", 16)]
     ])
-    def test_direct_ring_normalization(self, name, dim, top):
+    def test_direct_ring_normalization(self, name, dim, tau, n):
         ring = catalog(name)
         assert ring.dim == dim
         hf = ring.hilbert_function()
         assert len(hf) == dim + 1 and hf[dim] == 1
-        tau = ring.cls(ring.tau)
-        assert ring.integrate(tau) == top
+        assert ring.integrate(ring.parse(tau)) == n
+        assert len(ring.top) == 1
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
@@ -137,7 +141,9 @@ class TestCatalog:
         assert pi.zeta == "h"
         assert str(relative_canonical(pi)) == "-4*h + 2*sigma"
 
-    @pytest.mark.parametrize("keyword", [{"zeta": "h"}, {"rank": 2}])
+    @pytest.mark.parametrize("keyword", [
+        {"zeta": "h"}, {"rank": 2},
+        {"tau": Poly.variable(Signature.make([("h", 1)]), "h"), "n": 1}])
     def test_rank_and_zeta_are_not_constructor_inputs(self, keyword):
         p1 = catalog("P1")
         with pytest.raises(TypeError):
@@ -225,29 +231,37 @@ class TestConstructors:
     def test_top_piece_must_be_one_dimensional(self):
         sig = Signature.make([("x", 1), ("y", 1)])
         x, y = Poly.variable(sig, "x"), Poly.variable(sig, "y")
-        ring = ChowRing("Q", sig, [x * x, y * y], 2, tau=x * y, n=2)
+        ring = presented("Q", sig, [x * x, y * y], 2, x * y, 2)
         assert ring.top == {(1, 1): 2}
         with pytest.raises(ValueError):
-            ChowRing("Q3", sig, [x ** 3, y ** 3], 2, tau=x * y, n=1)
-        free = ChowRing("S", sig, [], 2)
+            presented("Q3", sig, [x ** 3, y ** 3], 2, x * y, 1)
+        # every ring has a basis: no relations, no ring
         with pytest.raises(ValueError):
-            free.integrate(free.var("x") * free.var("y"))
+            presented("S", sig, [], 2, x * y, 1)
+        with pytest.raises(ValueError):
+            ChowRing("S", sig, [], 2)
+        bare = ChowRing("Q", sig, [x * x, y * y], 2)
+        assert bare.top is None
+        with pytest.raises(ValueError):
+            bare.integrate(bare.var("x") * bare.var("y"))
 
-    def test_normalization_must_be_consistent(self):
-        sig = Signature.make([("x", 1)])
-        x = Poly.variable(sig, "x")
-        rels = [x * x]
-        for keywords in ({"top": {(1,): 1}, "tau": x, "n": 1},
-                         {"top": {(1,): 1}, "tau": x},
-                         {"top": {(1,): 1}, "n": 1},
-                         {"n": 5}, {"tau": x}):
-            with pytest.raises(ValueError):
-                ChowRing("P1", sig, rels, 1, **keywords)
-        with pytest.raises(ValueError):
-            ChowRing("S", sig, [], 1, n=5)
-        assert ChowRing("P1", sig, rels, 1, tau=x, n=2).top == {(1,): 2}
-        assert ChowRing("P1", sig, rels, 1, top={(1,): 3}).top == {(1,): 3}
-        assert ChowRing("P1", sig, rels, 1).top is None
+    def test_derived_rings_refuse_a_class_of_another_ring(self):
+        # same variable names, different ring objects
+        base = projective_space(2, var="t")
+        other = projective_space(3, var="t")
+        with pytest.raises(ValueError, match="lives on P3"):
+            projective_bundle(base, [other.var("t")], "z")
+        p1_cubed = catalog("P1^3")
+        line = product_p1(3).parse("alpha_1*alpha_2")
+        with pytest.raises(ValueError, match="lives on P1\\^3"):
+            blowup_threefold_along_curve(p1_cubed, line, 0)
+        # a Poly in the wrong variables is refused by its signature
+        with pytest.raises(ValueError, match="signature"):
+            projective_bundle(base, [Poly.variable(p1_cubed.sig, "alpha_1")],
+                              "z")
+        with pytest.raises(ValueError, match="signature"):
+            blowup_threefold_along_curve(p1_cubed, (base.var("t") ** 2).rep,
+                                         0)
 
     def test_bundle_chern_classes_must_be_homogeneous(self):
         base = projective_space(2, var="t")
