@@ -3,16 +3,26 @@
 A BundleClass is a formal K-theory class: an integer rank plus Chern classes
 c_1..c_dim.  Character and Todd series are exact: the Todd class is
 exp(sum g_k p_k) over the power sums p_k of the Chern roots, with
-g_k = -B_k / (k k!) from the Bernoulli numbers.  Mixed-degree classes are
-ordinary ring elements whose graded parts are read off as needed.
+g_k = -B_k / (k k!) from the Bernoulli numbers.
+
+The series calculus (total Chern and Segre classes, Whitney sums and
+quotients, Newton's identities, exp, twists) runs in Q[vars], not in the
+quotient ring.  A series is a list s[0..dim] of graded parts, each a dict
+from monomial to coefficient; nothing above degree dim is kept and nothing
+is reduced.  The ideals are homogeneous, so a normal form keeps degrees and
+the degree-d part of a result depends only on parts of degree <= d:
+truncating at dim and reducing once at the end gives the class that
+reducing every step would.  So each function makes one normal form per
+class it returns (Fulton, Intersection Theory, 3.2 and Examples 3.2.2-3.2.3).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from operator import add
 
-from chowcalc.poly import as_int, exact_div
+from chowcalc.poly import Poly, as_int, exact_div
 from chowcalc.rings import ChowClass, ChowRing
 
 
@@ -53,7 +63,7 @@ class BundleClass:
         return self.ring.zero()
 
     def total_chern(self) -> ChowClass:
-        return sum(self.chern, self.ring.one())
+        return _class(self.ring, _chern_series(self))
 
     def __eq__(self, other):
         if not isinstance(other, BundleClass):
@@ -66,46 +76,119 @@ class BundleClass:
         return "BundleClass(rank %d; %s)" % (self.rank, parts)
 
 
-def _graded_parts(x: ChowClass, top: int):
-    return [x.ring.cls(x.rep.homogeneous_part(d)) for d in range(top + 1)]
+# truncated series -----------------------------------------------------------
 
 
-def _from_total(ring: ChowRing, rank: int, total: ChowClass) -> BundleClass:
-    parts = _graded_parts(total, ring.dim)
-    return BundleClass(ring, rank, parts[1:])
+def _graded(p: Poly, top: int):
+    """The series of p: its graded parts p_0..p_top as term dicts."""
+    parts = [{} for _ in range(top + 1)]
+    wdeg = p.sig.wdeg
+    for mono, c in p.terms.items():
+        d = wdeg(mono)
+        if d <= top:
+            parts[d][mono] = c
+    return parts
 
 
-def _series_inverse(total: ChowClass) -> ChowClass:
-    """Inverse of 1 + (positive-degree terms) in the graded quotient."""
-    ring = total.ring
-    parts = _graded_parts(total, ring.dim)
-    inv = [ring.one()]
-    for d in range(1, ring.dim + 1):
-        acc = ring.zero()
+def _unit(ring: ChowRing) -> dict:
+    return {(0,) * len(ring.sig): 1}
+
+
+def _chern_series(e: BundleClass):
+    """c(e) = 1 + c_1 + ... + c_dim as a series."""
+    return [_unit(e.ring)] + [c.rep.terms for c in e.chern]
+
+
+def _scale(part: dict, s) -> dict:
+    return {m: c * s for m, c in part.items()}
+
+
+def _add_product(acc: dict, a: dict, b: dict, scale=1) -> None:
+    """acc += scale * a * b on term dicts."""
+    get = acc.get
+    for m1, c1 in a.items():
+        c1 *= scale
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            acc[m] = get(m, 0) + c1 * c2
+
+
+def _product(a, b):
+    """a * b for series of one length, truncated to that length."""
+    out = [{} for _ in a]
+    for d, acc in enumerate(out):
+        for i in range(d + 1):
+            _add_product(acc, a[i], b[d - i])
+    return out
+
+
+def _inverse(a):
+    """1 / a for a series with degree-0 part 1: inv_d = -sum a_i inv_(d-i)
+    over 1 <= i <= d."""
+    if [c for c in a[0].values() if c] != [1]:
+        raise ValueError("a series is inverted only when its degree-0 part "
+                         "is 1")
+    inv = [a[0]]
+    for d in range(1, len(a)):
+        acc = {}
         for i in range(1, d + 1):
-            acc = acc + parts[i] * inv[d - i]
-        inv.append(-acc)
-    return sum(inv, ring.zero())
+            _add_product(acc, a[i], inv[d - i], -1)
+        inv.append(acc)
+    return inv
+
+
+def _exp(ring: ChowRing, x):
+    """exp(x_1 + ... + x_top) (x_0 is not read), by the graded form of
+    E' = x' E: d E_d = sum i x_i E_(d-i) over 1 <= i <= d."""
+    out = [_unit(ring)]
+    for d in range(1, len(x)):
+        acc = {}
+        for i in range(1, d + 1):
+            _add_product(acc, x[i], out[d - i], Fraction(i, d))
+        out.append(acc)
+    return out
+
+
+def _class(ring: ChowRing, series) -> ChowClass:
+    """The class of a series: its parts summed and reduced once."""
+    return ring.cls(Poly(ring.sig, {m: c for part in series
+                                    for m, c in part.items()}))
+
+
+def _bundle(ring: ChowRing, rank: int, series) -> BundleClass:
+    """The bundle class with total Chern class `series` (degree 0 is 1)."""
+    return BundleClass(ring, rank, [Poly(ring.sig, part)
+                                    for part in series[1:]])
+
+
+# Whitney, Segre, twists -----------------------------------------------------
 
 
 def whitney_sum(e: BundleClass, f: BundleClass) -> BundleClass:
     if e.ring is not f.ring:
         raise ValueError("bundles live on different rings")
-    return _from_total(e.ring, e.rank + f.rank,
-                       e.total_chern() * f.total_chern())
+    return _bundle(e.ring, e.rank + f.rank,
+                   _product(_chern_series(e), _chern_series(f)))
 
 
 def whitney_quotient(e: BundleClass, sub: BundleClass) -> BundleClass:
     """The class Q with e = sub + Q, i.e. c(Q) = c(e)/c(sub)."""
     if e.ring is not sub.ring:
         raise ValueError("bundles live on different rings")
-    total = e.total_chern() * _series_inverse(sub.total_chern())
-    return _from_total(e.ring, e.rank - sub.rank, total)
+    return _bundle(e.ring, e.rank - sub.rank,
+                   _product(_chern_series(e), _inverse(_chern_series(sub))))
 
 
 def dual(e: BundleClass) -> BundleClass:
     return BundleClass(e.ring, e.rank,
                        [(-1) ** i * c for i, c in enumerate(e.chern, start=1)])
+
+
+def _binomial(n: int, k: int) -> int:
+    """C(n, k) for every integer n: the t^k coefficient of (1 + t)^n."""
+    if n >= 0:
+        return comb(n, k)
+    return (-1) ** k * comb(k - n - 1, k)
 
 
 def twist(e: BundleClass, d: ChowClass) -> BundleClass:
@@ -114,25 +197,36 @@ def twist(e: BundleClass, d: ChowClass) -> BundleClass:
         raise ValueError("twist class lives on a different ring")
     if not d.is_zero() and (not d.is_homogeneous() or d.degree() != 1):
         raise ValueError("twist class must be a divisor class")
-    # the rank-weighted binomial only consumes c_0..c_r; formal components
-    # above the rank (series-division artifacts) do not enter
-    r = e.rank
-    new = []
-    for i in range(1, e.ring.dim + 1):
-        acc = e.ring.zero()
-        for j in range(0, min(i, r) + 1):
-            acc = acc + comb(r - j, i - j) * e.c(j) * d ** (i - j)
+    # c_t(E x L) = sum_j c_j t^j (1 + d t)^(r - j) over all j (Fulton, Ex.
+    # 3.2.2); with binomials of negative tops this holds for virtual classes
+    # of any rank, and c_j above the rank enter too
+    ring, r = e.ring, e.rank
+    cs = _chern_series(e)
+    powers = [cs[0]]
+    for _ in range(ring.dim):
+        acc = {}
+        _add_product(acc, powers[-1], d.rep.terms)
+        powers.append(acc)
+    new = [cs[0]]
+    for i in range(1, ring.dim + 1):
+        acc = {}
+        for j in range(i + 1):
+            _add_product(acc, cs[j], powers[i - j], _binomial(r - j, i - j))
         new.append(acc)
-    return BundleClass(e.ring, r, new)
+    return _bundle(ring, r, new)
 
 
 def segre(e: BundleClass) -> ChowClass:
     """Total Segre class, s(E) c(E) = 1."""
-    return _series_inverse(e.total_chern())
+    return _class(e.ring, _inverse(_chern_series(e)))
 
 
 def segre_component(e: BundleClass, k: int) -> ChowClass:
-    return e.ring.cls(segre(e).rep.homogeneous_part(k))
+    ring = e.ring
+    if not 0 <= k <= ring.dim:
+        return ring.zero()
+    # s_k needs only c_0..c_k
+    return ring.cls(Poly(ring.sig, _inverse(_chern_series(e)[:k + 1])[k]))
 
 
 def wedge2_rank3(e: BundleClass) -> BundleClass:
@@ -147,39 +241,42 @@ def wedge2_rank3(e: BundleClass) -> BundleClass:
 # character and Todd series --------------------------------------------------
 
 
-def _power_sums(e: BundleClass, top: int):
-    """Newton power sums p_1..p_top of the Chern roots."""
-    ps = []
-    for k in range(1, top + 1):
-        acc = ((-1) ** (k - 1)) * k * e.c(k)
+def _power_sums(e: BundleClass):
+    """Newton power sums of the Chern roots as a series (p_0 = 0):
+    p_k = (-1)^(k-1) k c_k + sum (-1)^(i-1) c_i p_(k-i) over 1 <= i < k."""
+    cs = _chern_series(e)
+    ps = [{}]
+    for k in range(1, len(cs)):
+        acc = _scale(cs[k], (-1) ** (k - 1) * k)
         for i in range(1, k):
-            acc = acc + ((-1) ** (i - 1)) * e.c(i) * ps[k - i - 1]
+            _add_product(acc, cs[i], ps[k - i], (-1) ** (i - 1))
         ps.append(acc)
     return ps
 
 
 def chern_character(e: BundleClass) -> ChowClass:
-    ring = e.ring
-    ch = ring.const(e.rank)
-    for k, p in enumerate(_power_sums(e, ring.dim), start=1):
-        ch = ch + Fraction(1, factorial(k)) * p
-    return ch
+    ch = [_scale(p, Fraction(1, factorial(k)))
+          for k, p in enumerate(_power_sums(e))]
+    ch[0] = _scale(_unit(e.ring), e.rank)
+    return _class(e.ring, ch)
 
 
 def chern_from_character(ring: ChowRing, ch: ChowClass) -> BundleClass:
     """Invert the character: rank from degree 0, then Newton back to c_i."""
-    parts = _graded_parts(ch, ring.dim)
-    rank_c = parts[0].rep.constant_term()
+    if ch.ring is not ring:
+        raise ValueError("character lives on a different ring")
+    rank_c = ch.rep.constant_term()
     if rank_c.denominator != 1:
         raise ValueError("character has non-integral rank")
-    ps = [factorial(k) * parts[k] for k in range(1, ring.dim + 1)]
-    es = []
+    ps = [_scale(part, factorial(k))
+          for k, part in enumerate(_graded(ch.rep, ring.dim))]
+    es = [_unit(ring)]
     for k in range(1, ring.dim + 1):
-        acc = ((-1) ** (k - 1)) * ps[k - 1]
+        acc = _scale(ps[k], (-1) ** (k - 1))
         for i in range(1, k):
-            acc = acc + ((-1) ** (i - 1)) * es[k - i - 1] * ps[i - 1]
-        es.append(Fraction(1, k) * acc)
-    return BundleClass(ring, int(rank_c), es)
+            _add_product(acc, es[k - i], ps[i], (-1) ** (i - 1))
+        es.append(_scale(acc, Fraction(1, k)))
+    return _bundle(ring, int(rank_c), es)
 
 
 def _todd_series_coefficients(top: int):
@@ -198,23 +295,9 @@ def _todd_series_coefficients(top: int):
 
 def todd_class(e: BundleClass) -> ChowClass:
     """Todd class via td = exp(sum g_k p_k)."""
-    ring = e.ring
-    g = _todd_series_coefficients(ring.dim)
-    log_td = ring.zero()
-    for k, p in enumerate(_power_sums(e, ring.dim), start=1):
-        log_td = log_td + g[k] * p
-    return _exp_class(log_td)
-
-
-def _exp_class(x: ChowClass) -> ChowClass:
-    ring = x.ring
-    out = ring.one()
-    power = ring.one()
-    for k in range(1, ring.dim + 1):
-        power = power * x
-        out = out + Fraction(1, factorial(k)) * power
-    # graded truncation keeps later products small
-    return sum(_graded_parts(out, ring.dim), ring.zero())
+    g = _todd_series_coefficients(e.ring.dim)
+    log_td = [_scale(p, g[k]) for k, p in enumerate(_power_sums(e))]
+    return _class(e.ring, _exp(e.ring, log_td))
 
 
 def tangent_bundle(ring: ChowRing) -> BundleClass:
@@ -257,6 +340,9 @@ def grr_push_curve(ambient: ChowRing, genus: int, curve_class: ChowClass,
     """
     chi_c = as_int(sheaf_degree) + 1 - as_int(genus)
     n = ambient.dim
+    if curve_class.ring is not ambient or point_class.ring is not ambient:
+        raise ValueError("curve and point classes must live on the ambient "
+                         "ring")
     if not curve_class.is_homogeneous() or curve_class.is_zero():
         raise ValueError("curve class must be nonzero homogeneous")
     codim = curve_class.degree()
@@ -265,6 +351,6 @@ def grr_push_curve(ambient: ChowRing, genus: int, curve_class: ChowClass,
     if codim != n - 1:
         raise ValueError("curve class must have codimension %d, got %d"
                          % (n - 1, codim))
-    pushed = curve_class + chi_c * point_class
-    td_inv = _series_inverse(ambient.cls(_tangent_todd(ambient)))
-    return sum(_graded_parts(pushed * td_inv, n), ambient.zero())
+    pushed = curve_class.rep + chi_c * point_class.rep
+    td_inv = _inverse(_graded(_tangent_todd(ambient), n))
+    return _class(ambient, _product(_graded(pushed, n), td_inv))

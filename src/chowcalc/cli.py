@@ -93,6 +93,9 @@ def _cmd_run(args) -> int:
     if args.section is not None and args.check:
         print("--section applies to --all, not to --check", file=sys.stderr)
         return 2
+    if args.slow and args.check:
+        print("--slow applies to --all, not to --check", file=sys.stderr)
+        return 2
     try:
         selected = checks.select_checks(
             names=args.check, section=args.section,

@@ -70,11 +70,51 @@ class TestAlgebra:
         h = p3.var("h")
         assert BundleClass(p3, 1, [h.rep]) == BundleClass.line(p3, h)
 
+    def test_series_refuse_a_class_of_another_ring(self):
+        p3, other = projective_space(3), projective_space(3)
+        h, g = p3.var("h"), other.var("h")
+        with pytest.raises(ValueError, match="different ring"):
+            chern_from_character(p3, other.one() + g)
+        with pytest.raises(ValueError, match="ambient ring"):
+            grr_push_curve(p3, 0, g ** 2, h ** 3, 0)
+        with pytest.raises(ValueError, match="ambient ring"):
+            grr_push_curve(p3, 0, h ** 2, g ** 3, 0)
+
     def test_twist_of_line_bundle_adds_divisors(self):
         p3 = projective_space(3)
         h = p3.var("h")
         assert twist(BundleClass.line(p3, 2 * h), h) == \
             BundleClass.line(p3, 3 * h)
+
+    def test_twist_of_a_rank_0_class(self):
+        # (O(1) - O)(1) = O(2) - O(1): c = (1 + 2h)/(1 + h)
+        p3 = projective_space(3)
+        h = p3.var("h")
+        virtual = whitney_quotient(BundleClass.line(p3, h),
+                                   BundleClass.trivial(p3, 1))
+        assert virtual.rank == 0
+        assert twist(virtual, h) == BundleClass(p3, 0, [h, -h ** 2, h ** 3])
+        assert twist(virtual, h) == whitney_quotient(
+            BundleClass.line(p3, 2 * h), BundleClass.line(p3, h))
+
+    def test_twist_of_virtual_classes(self):
+        # classes with c_j above the rank, and ranks <= 0, twist back and
+        # twist the way their sums and quotients of lines do
+        p5 = projective_space(5)
+        h = p5.var("h")
+        rng = random.Random(SEED + 6)
+        for _ in range(50):
+            lines = [BundleClass.line(p5, rng.randint(-3, 3) * h)
+                     for _ in range(4)]
+            sub = whitney_sum(whitney_sum(lines[1], lines[2]), lines[3])
+            e = whitney_quotient(lines[0], sub)
+            assert e.rank == -2
+            d = rng.randint(-2, 2) * h
+            assert twist(twist(e, d), -d) == e
+            twisted = [twist(line, d) for line in lines]
+            sub_twisted = whitney_sum(whitney_sum(twisted[1], twisted[2]),
+                                      twisted[3])
+            assert twist(e, d) == whitney_quotient(twisted[0], sub_twisted)
 
     def test_wedge2_of_split_rank3(self):
         p5 = projective_space(5)

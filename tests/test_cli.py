@@ -97,6 +97,12 @@ class TestRun:
         assert "--section" in captured.err
         assert captured.out == ""
 
+    def test_slow_with_check_exits_2(self, capsys):
+        assert main(["run", "--check", "deg-FB-24", "--slow"]) == 2
+        captured = capsys.readouterr()
+        assert "--slow" in captured.err
+        assert captured.out == ""
+
     def test_failing_check_exits_1(self, capsys):
         def body(seed, rec):
             rec.claim("forced failure", False)
