@@ -37,10 +37,8 @@ class BundleClass:
         cs = [c if isinstance(c, ChowClass) else ring.cls(c) for c in chern]
         if any(c.ring is not ring for c in cs):
             raise ValueError("a Chern class lives on a different ring")
-        if len(cs) > ring.dim:
-            cs = cs[:ring.dim]
-        while len(cs) < ring.dim:
-            cs.append(ring.zero())
+        cs = cs[:ring.dim]
+        cs += [ring.zero()] * (ring.dim - len(cs))
         for i, c in enumerate(cs, start=1):
             if not c.is_zero() and (not c.is_homogeneous()
                                     or c.degree() != i):
@@ -324,9 +322,17 @@ def hrr_chi(e: BundleClass) -> Fraction:
 
 
 def chi_of_character(ring: ChowRing, ch: ChowClass) -> Fraction:
-    # normal forms keep degrees, so the top part may be taken before one
-    mixed = ch.rep * _tangent_todd(ring)
-    return ring.integrate(ring.cls(mixed.homogeneous_part(ring.dim)))
+    """The integral of ch td(T): only its top part, the sum of ch_i
+    td_(dim-i), is formed (normal forms keep degrees), and reduced once."""
+    if ch.ring is not ring:
+        raise ValueError("character lives on a different ring")
+    n = ring.dim
+    chs = _graded(ch.rep, n)
+    tds = _graded(_tangent_todd(ring), n)
+    acc = {}
+    for i in range(n + 1):
+        _add_product(acc, chs[i], tds[n - i])
+    return ring.integrate(ring.cls(Poly(ring.sig, acc)))
 
 
 def grr_push_curve(ambient: ChowRing, genus: int, curve_class: ChowClass,

@@ -503,12 +503,27 @@ def _parse_atom(toks: _Tokens, sig: Signature) -> Poly:
 # division and Groebner bases ----------------------------------------------
 
 
-def reduce_poly(p: Poly, divisors) -> Poly:
+def division_table(divisors):
+    """What reduce_poly reads of a list of divisors, as a pair.
+
+    When every nonzero divisor is a single term, the pair is (their
+    monomials, None); otherwise it is (None, their (lead, lead coefficient,
+    terms) rows), in the order of the list.  A basis builds it once.
+    """
+    divisors = [d for d in divisors if not d.is_zero()]
+    if all(len(d.terms) == 1 for d in divisors):
+        return [d.leading_monomial() for d in divisors], None
+    return None, [d.leading_term() + (d.terms,) for d in divisors]
+
+
+def reduce_poly(p: Poly, divisors, table=None) -> Poly:
     """Full normal form of p modulo the list of divisors.
 
     Every monomial of the result is divisible by no leading monomial of the
     divisors.  Deterministic: always cancels the largest reducible monomial,
-    by the first divisor whose lead divides it.
+    by the first divisor whose lead divides it.  `table`, when given, is
+    division_table(divisors), which a fixed basis builds once instead of
+    once per call; the result is the same with it and without it.
 
     When every divisor is a single term, the remainder is the terms of p
     that no divisor divides, read off without the division loop.  It is the
@@ -524,14 +539,12 @@ def reduce_poly(p: Poly, divisors) -> Poly:
     back, and a monomial whose pending coefficient cancels to 0 stays in
     both until popped.
     """
-    divisors = [d for d in divisors if not d.is_zero()]
+    monos, leads = division_table(divisors) if table is None else table
     sig = p.sig
-    if all(len(d.terms) == 1 for d in divisors):
-        monos = [next(iter(d.terms)) for d in divisors]
+    if leads is None:
         return Poly(sig, {m: c for m, c in p.terms.items()
                           if not any(mono_divides(l, m) for l in monos)})
     weights = sig.weights
-    leads = [d.leading_term() + (d.terms,) for d in divisors]
     remainder = {}
     work = dict(p.terms)
     heap = [(-sum(map(mul, weights, m)), m[::-1], m) for m in work]
@@ -663,7 +676,8 @@ def _axpy(row, factor, other):
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis with normal-form and Hilbert services."""
+    """A reduced Groebner basis with normal-form and Hilbert services; it
+    builds reduce_poly's division table once, in `table`."""
 
     def __init__(self, generators, precomputed: bool = False):
         gens = [g for g in generators if not g.is_zero()]
@@ -672,11 +686,12 @@ class GroebnerBasis:
         self.sig = gens[0].sig
         self.elements = list(gens) if precomputed else groebner_basis(gens)
         self.leads = [g.leading_monomial() for g in self.elements]
+        self.table = division_table(self.elements)
 
     def normal_form(self, p: Poly) -> Poly:
         if p.sig != self.sig:
             raise ValueError("polynomial signature does not match basis")
-        return reduce_poly(p, self.elements)
+        return reduce_poly(p, self.elements, self.table)
 
     def standard_monomials(self, degree: int):
         """Monomials of the given weighted degree outside the lead ideal."""

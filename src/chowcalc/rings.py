@@ -13,10 +13,17 @@ from the exceptional-divisor rules in blowup_threefold_along_curve; and as
 m -> integral over P1^4 of m (alpha_1 + ... + alpha_4) for the
 hyperplane-section model FB.
 
-Every class is held in normal form, and every operation reduces its result
-once.  A power x^n of a single term (zeta^n, say) is a single term, so it
-is raised in Q[vars] and reduced once; any other power is squared and
-multiplied, about 2 log2 n products, each reduced.
+Every class is held in normal form.  A linear combination of standard
+monomials is itself in normal form, and so is a constant, because no ring
+holds a relation of degree 0 (ChowRing refuses a basis that holds a
+constant).  So sums, differences, negations and scalar multiples of
+classes, and the constants zero(), one() and const(c), take their result
+as it is, through the one trusted constructor _standard, with no division;
+tests/test_standard_sites.py holds src/ to its listed call sites.
+Products, powers, cls, var, parse and any Poly operand reduce once.  A
+power x^n of a single term (zeta^n, say) is a single term, so it is raised
+in Q[vars] and reduced once; any other power is squared and multiplied,
+about 2 log2 n products, each reduced.
 
 Presented rings compute their reduced basis degree by degree
 (poly.groebner_basis).  Derived rings compute none: they lift the reduced
@@ -61,32 +68,36 @@ class ChowClass:
                 raise ValueError("classes live on different rings")
             return other
         if isinstance(other, (int, Fraction)):
-            return ChowClass(self.ring, Poly.constant(self.ring.sig, other))
+            return self.ring.const(other)
         if isinstance(other, Poly):
             return ChowClass(self.ring, other)
         return NotImplemented
+
+    # sums and scalar multiples of normal forms are normal forms
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ChowClass(self.ring, self.rep + other.rep)
+        return _standard(self.ring, self.rep + other.rep)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ChowClass(self.ring, -self.rep)
+        return _standard(self.ring, -self.rep)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ChowClass(self.ring, self.rep - other.rep)
+        return _standard(self.ring, self.rep - other.rep)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _standard(self.ring, self.rep.scale(other))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -143,11 +154,20 @@ class ChowClass:
         return "ChowClass(%s | %s)" % (self.ring.label, self.rep)
 
 
+def _standard(ring: "ChowRing", rep: Poly) -> ChowClass:
+    """The class of rep, which is already in normal form: no division."""
+    x = object.__new__(ChowClass)
+    x.ring = ring
+    x.rep = rep
+    return x
+
+
 class ChowRing:
     """A presented ring and its top-degree functional, as described above.
 
     `gb`, the reduced basis of the relations' ideal, is computed from them
-    when not given, so a ring needs a nonzero relation.  A ring without
+    when not given, so a ring needs a nonzero relation; a basis that holds
+    a constant (the unit ideal) is refused.  A ring without
     `top` refuses to integrate; presented() makes `top` from a
     normalization.
 
@@ -169,6 +189,9 @@ class ChowRing:
         self.tangent_chern = tangent_chern  # list of Polys c_1..c_dim or None
         self.todd = None  # normal form of td(T), set by bundles on first use
         self.gb = gb if gb is not None else GroebnerBasis(self.relations)
+        if not all(any(lead) for lead in self.gb.leads):
+            raise ValueError("the relations of %s generate the unit ideal"
+                             % label)
         # top-degree standard monomial -> integral, stored like a coefficient
         self.top = None if top is None else {m: coefficient(v)
                                              for m, v in top.items()}
@@ -182,10 +205,10 @@ class ChowRing:
         return ChowClass(self, Poly.variable(self.sig, name))
 
     def const(self, c) -> ChowClass:
-        return ChowClass(self, Poly.constant(self.sig, c))
+        return _standard(self, Poly.constant(self.sig, c))
 
     def zero(self) -> ChowClass:
-        return ChowClass(self, Poly.zero(self.sig))
+        return _standard(self, Poly.zero(self.sig))
 
     def one(self) -> ChowClass:
         return self.const(1)

@@ -110,3 +110,11 @@ def grr_push_curve(ambient, genus, curve_class, point_class, sheaf_degree):
     pushed = curve_class + chi_c * point_class
     td_inv = series_inverse(todd_class(tangent))
     return sum(graded_parts(pushed * td_inv, n), ambient.zero())
+
+
+def chi_of_character(ring, ch):
+    """The integral of ch td(T): the whole product, then its top part."""
+    tangent = BundleClass(ring, ring.dim,
+                          [ring.cls(c) for c in ring.tangent_chern])
+    mixed = ch * todd_class(tangent)
+    return ring.integrate(ring.cls(mixed.rep.homogeneous_part(ring.dim)))

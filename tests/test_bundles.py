@@ -12,6 +12,8 @@ from chowcalc.bundles import (BundleClass, _todd_series_coefficients,
                               grr_push_curve, hrr_chi, segre, segre_component,
                               tangent_bundle, todd_class, twist,
                               wedge2_rank3, whitney_quotient, whitney_sum)
+from chowcalc import checks
+from chowcalc.poly import GroebnerBasis
 from chowcalc.rings import catalog, projective_space
 
 SEED = 20260826
@@ -157,6 +159,22 @@ class TestAlgebra:
         assert len(e.chern) == 3
         assert e.c(2).is_zero() and e.c(3).is_zero()
         assert e.c(0) == p3.one() and e.c(7).is_zero()
+
+    def test_whitney_segre_suite_normal_forms(self, monkeypatch):
+        """Pinned count for checks._suite_whitney_segre(Random(2)): padding,
+        constants and linear operations make no normal form.  It was 5,777
+        when each of them made one, 1,213 of them from padding zeros and
+        787 from scalar operands."""
+        calls = []
+        normal_form = GroebnerBasis.normal_form
+
+        def counting(gb, p):
+            calls.append(p)
+            return normal_form(gb, p)
+
+        monkeypatch.setattr(GroebnerBasis, "normal_form", counting)
+        assert checks._suite_whitney_segre(random.Random(2)) == 0
+        assert len(calls) == 2989
 
 
 class TestCharacter:

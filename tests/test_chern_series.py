@@ -172,3 +172,22 @@ def test_inverse_refuses_a_series_whose_degree_0_part_is_not_1(name):
             inverse(ring.const(constant) + positive)
     assert inverse(ring.one() + positive) == \
         ref.series_inverse(ring.one() + positive)
+
+
+@pytest.mark.parametrize("name", WITH_TANGENT)
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_chi_of_character_matches_the_whole_product(data, name):
+    ch = data.draw(mixed_class(name, data.draw(st.integers(-3, 5))))
+    ring = ch.ring
+    assert bundles.chi_of_character(ring, ch) == \
+        ref.chi_of_character(ring, ch)
+    e = data.draw(bundle(name))
+    assert bundles.hrr_chi(e) == \
+        ref.chi_of_character(ring, ref.chern_character(e))
+
+
+def test_chi_of_character_refuses_a_class_of_another_ring():
+    p5, other = catalog("P5"), projective_space(5)
+    with pytest.raises(ValueError, match="different ring"):
+        bundles.chi_of_character(p5, other.var("h"))
