@@ -614,15 +614,19 @@ SUITE_SIZE = 200
 
 
 def _random_poly(rng: random.Random, sig: Signature, max_deg: int = 3) -> Poly:
-    p = Poly.zero(sig)
-    names = sig.names
+    """A sum of 1-4 random terms, each a coefficient times up to max_deg
+    variables drawn with repetition; each term is built as an exponent
+    tuple (rng.choice of a range draws as rng.choice of the names does)."""
+    terms = {}
+    positions = range(len(sig))
     for _ in range(rng.randint(1, 4)):
-        term = Poly.constant(sig, Fraction(rng.randint(-9, 9),
-                                           rng.randint(1, 4)))
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        exponents = [0] * len(sig)
         for _ in range(rng.randint(0, max_deg)):
-            term = term * Poly.variable(sig, rng.choice(names))
-        p = p + term
-    return p
+            exponents[rng.choice(positions)] += 1
+        mono = tuple(exponents)
+        terms[mono] = terms.get(mono, 0) + c
+    return Poly(sig, terms)
 
 
 def _suite_ring_axioms(rng: random.Random) -> int:

@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import inf
 from operator import add, le, mul, neg, sub
 from typing import Iterator
 
@@ -226,6 +227,9 @@ class Poly:
         n = as_int(n)
         if n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if len(self.terms) == 1:
+            (m, c), = self.terms.items()
+            return Poly(self.sig, {tuple(e * n for e in m): c ** n})
         result = Poly.one(self.sig)
         base = self
         while n:
@@ -504,32 +508,59 @@ def _parse_atom(toks: _Tokens, sig: Signature) -> Poly:
 
 
 def division_table(divisors):
-    """What reduce_poly reads of a list of divisors, as a pair.
+    """What reduce_poly reads of a list of divisors: (leads, rows, bound).
 
-    When every nonzero divisor is a single term, the pair is (their
-    monomials, None); otherwise it is (None, their (lead, lead coefficient,
-    terms) rows), in the order of the list.  A basis builds it once.
+    `leads` are the leading monomials of the nonzero divisors, in the order
+    of the list.  `rows` is None when every nonzero divisor is a single term,
+    else their (lead, lead coefficient, terms) rows in the same order.
+    `bound` is sum((k_i - 1) * w_i) when every variable x_i has a pure power
+    x_i^k_i among the leads (k_i the least such), else None: every monomial
+    of a larger weighted degree has some exponent e_i >= k_i, so a lead
+    divides it.  A basis builds the table once.
     """
     divisors = [d for d in divisors if not d.is_zero()]
-    if all(len(d.terms) == 1 for d in divisors):
-        return [d.leading_monomial() for d in divisors], None
-    return None, [d.leading_term() + (d.terms,) for d in divisors]
+    leads = [d.leading_monomial() for d in divisors]
+    rows = None
+    if any(len(d.terms) > 1 for d in divisors):
+        rows = [d.leading_term() + (d.terms,) for d in divisors]
+    powers = {}
+    for lead in leads:
+        support = [i for i, e in enumerate(lead) if e]
+        if len(support) == 1:
+            i = support[0]
+            powers[i] = min(lead[i], powers.get(i, lead[i]))
+    bound = None
+    if leads and len(powers) == len(divisors[0].sig):
+        bound = sum((powers[i] - 1) * w
+                    for i, w in enumerate(divisors[0].sig.weights))
+    return leads, rows, bound
 
 
-def reduce_poly(p: Poly, divisors, table=None) -> Poly:
+_UNSEEN = object()
+
+
+def reduce_poly(p: Poly, divisors, table=None, found=None) -> Poly:
     """Full normal form of p modulo the list of divisors.
 
     Every monomial of the result is divisible by no leading monomial of the
     divisors.  Deterministic: always cancels the largest reducible monomial,
     by the first divisor whose lead divides it.  `table`, when given, is
     division_table(divisors), which a fixed basis builds once instead of
-    once per call; the result is the same with it and without it.
+    once per call.  `found`, when given, is a dict that belongs to this one
+    list of divisors and outlives the call: it maps a monomial to the
+    position of the first divisor whose lead divides it, or to None, and is
+    filled the first time a monomial is met, for monomials of weighted
+    degree at most the table's bound (none when the bound is None), so it
+    holds finitely many.  Which divisor cancels a monomial depends only on
+    the monomial and the list, so the result is the same with a table and
+    a lookup and without them.
 
-    When every divisor is a single term, the remainder is the terms of p
-    that no divisor divides, read off without the division loop.  It is the
-    loop's own answer for any such list, Groebner basis or not: cancelling
-    a term by a monomial deletes that term and adds no other, so the loop
-    only ever drops the divisible terms of p and keeps the rest.
+    When no monomial of p is reducible, p itself is returned (a Poly is
+    immutable).  When every divisor is a single term, the remainder is the
+    terms of p that no divisor divides, read off without the division loop.
+    It is the loop's own answer for any such list, Groebner basis or not:
+    cancelling a term by a monomial deletes that term and adds no other, so
+    the loop only ever drops the divisible terms of p and keeps the rest.
 
     Otherwise the pending terms sit in a dict and their monomials in a heap
     keyed by (-weighted degree, reversed exponents), whose smallest key is
@@ -539,12 +570,42 @@ def reduce_poly(p: Poly, divisors, table=None) -> Poly:
     back, and a monomial whose pending coefficient cancels to 0 stays in
     both until popped.
     """
-    monos, leads = division_table(divisors) if table is None else table
+    leads, rows, bound = division_table(divisors) if table is None else table
     sig = p.sig
-    if leads is None:
-        return Poly(sig, {m: c for m, c in p.terms.items()
-                          if not any(mono_divides(l, m) for l in monos)})
     weights = sig.weights
+    if found is None:
+        found, limit = {}, inf  # this call's own lookup: it keeps everything
+    else:
+        limit = -1 if bound is None else bound
+    get = found.get
+
+    def first(mono):
+        """Position of the first divisor whose lead divides mono, or None."""
+        k = get(mono, _UNSEEN)
+        if k is not _UNSEEN:
+            return k
+        for k, lead in enumerate(leads):
+            if mono_divides(lead, mono):
+                break
+        else:
+            k = None
+        if sum(map(mul, weights, mono)) <= limit:
+            found[mono] = k
+        return k
+
+    # a Poly has no zero coefficient, so p is standard when no term reduces;
+    # the loops read the lookup inline and call first() only on a miss
+    for mono in p.terms:
+        k = get(mono, _UNSEEN)
+        if k is _UNSEEN:
+            k = first(mono)
+        if k is not None:
+            break
+    else:
+        return p
+    if rows is None:
+        return Poly(sig, {m: c for m, c in p.terms.items()
+                          if first(m) is None})
     remainder = {}
     work = dict(p.terms)
     heap = [(-sum(map(mul, weights, m)), m[::-1], m) for m in work]
@@ -554,24 +615,26 @@ def reduce_poly(p: Poly, divisors, table=None) -> Poly:
         coeff = work.pop(mono)
         if not coeff:
             continue
-        for lead, lc, terms in leads:
-            if mono_divides(lead, mono):
-                shift = mono_div(mono, lead)
-                factor = -coeff if lc == 1 else exact_div(-coeff, lc)
-                for m2, c2 in terms.items():
-                    if m2 == lead:
-                        continue
-                    m = tuple(map(add, m2, shift))
-                    old = work.get(m)
-                    if old is None:
-                        work[m] = factor * c2
-                        key = -sum(map(mul, weights, m))
-                        heappush(heap, (key, m[::-1], m))
-                    else:
-                        work[m] = old + factor * c2
-                break
-        else:
+        k = get(mono, _UNSEEN)
+        if k is _UNSEEN:
+            k = first(mono)
+        if k is None:
             remainder[mono] = coeff
+            continue
+        lead, lc, terms = rows[k]
+        shift = mono_div(mono, lead)
+        factor = -coeff if lc == 1 else exact_div(-coeff, lc)
+        for m2, c2 in terms.items():
+            if m2 == lead:
+                continue
+            m = tuple(map(add, m2, shift))
+            old = work.get(m)
+            if old is None:
+                work[m] = factor * c2
+                key = -sum(map(mul, weights, m))
+                heappush(heap, (key, m[::-1], m))
+            else:
+                work[m] = old + factor * c2
     return Poly(sig, remainder)
 
 
@@ -593,9 +656,13 @@ def groebner_basis(generators):
     per lead monomial of degree d.  A lead that no earlier lead divides gives
     a basis element.  Once d is past every generator degree and every lcm
     degree of two non-coprime leads, each S-polynomial has reduced to zero
-    (Buchberger's criterion), so the basis is complete.  Output is monic,
-    sorted by ascending leading monomial.  Generators must be weighted
-    homogeneous.
+    (Buchberger's criterion), so the basis is complete.  It is complete
+    sooner when d is past every generator degree and I holds every monomial
+    of degrees d - W + 1, ..., d, W the largest weight: a monomial of a
+    higher degree is x_i times one of a lower degree, so by induction a lead
+    divides it, and no lead and no basis element can follow.  Output is
+    monic, sorted by ascending leading monomial.  Generators must be
+    weighted homogeneous.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -613,7 +680,9 @@ def groebner_basis(generators):
     echelon = {}  # degree -> fully reduced rows {pivot: {mono: coeff}}
     basis = []
     leads = []
-    stop = max(by_degree)
+    last = stop = max(by_degree)
+    width = max(sig.weights)
+    full = 0  # consecutive degrees, up to d, in which I_d is every monomial
     d = min(by_degree)
     while d <= stop:
         order = {m: k for k, m in enumerate(sorted(
@@ -632,6 +701,9 @@ def groebner_basis(generators):
                     stop = max(stop, sig.wdeg(mono_lcm(other, lead)))
             leads.append(lead)
             basis.append(Poly(sig, pivots[lead]))
+        full = full + 1 if len(pivots) == len(order) else 0
+        if d >= last and full >= width:
+            break
         d += 1
     return basis
 
@@ -676,8 +748,15 @@ def _axpy(row, factor, other):
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis with normal-form and Hilbert services; it
-    builds reduce_poly's division table once, in `table`."""
+    """A reduced Groebner basis with normal-form and Hilbert services.
+
+    It builds reduce_poly's division table once, in `table`, and keeps
+    reduce_poly's lookup `found` (monomial -> position of the first element
+    whose lead divides it, or None) across normal forms, so a warm basis
+    decides each monomial once.  The lookup holds only monomials of
+    weighted degree at most `table`'s bound, and nothing for a basis
+    without a pure power of every variable (a blow-up's, say).
+    """
 
     def __init__(self, generators, precomputed: bool = False):
         gens = [g for g in generators if not g.is_zero()]
@@ -685,13 +764,14 @@ class GroebnerBasis:
             raise ValueError("need at least one nonzero generator")
         self.sig = gens[0].sig
         self.elements = list(gens) if precomputed else groebner_basis(gens)
-        self.leads = [g.leading_monomial() for g in self.elements]
         self.table = division_table(self.elements)
+        self.leads = self.table[0]
+        self.found = {}
 
     def normal_form(self, p: Poly) -> Poly:
         if p.sig != self.sig:
             raise ValueError("polynomial signature does not match basis")
-        return reduce_poly(p, self.elements, self.table)
+        return reduce_poly(p, self.elements, self.table, self.found)
 
     def standard_monomials(self, degree: int):
         """Monomials of the given weighted degree outside the lead ideal."""

@@ -20,10 +20,13 @@ constant).  So sums, differences, negations and scalar multiples of
 classes, and the constants zero(), one() and const(c), take their result
 as it is, through the one trusted constructor _standard, with no division;
 tests/test_standard_sites.py holds src/ to its listed call sites.
-Products, powers, cls, var, parse and any Poly operand reduce once.  A
+Products, powers, cls, parse and any Poly operand reduce once; var reduces
+once per ring and variable, and returns the same class afterwards.  A
 power x^n of a single term (zeta^n, say) is a single term, so it is raised
 in Q[vars] and reduced once; any other power is squared and multiplied,
-about 2 log2 n products, each reduced.
+about 2 log2 n products, each reduced.  The division itself is the ring's
+basis' (poly.GroebnerBasis): it decides once per monomial which relation
+cancels it, and returns a polynomial that is already standard as it is.
 
 Presented rings compute their reduced basis degree by degree
 (poly.groebner_basis).  Derived rings compute none: they lift the reduced
@@ -188,6 +191,7 @@ class ChowRing:
         self.zeta = sig.names[0] if chern is not None else None
         self.tangent_chern = tangent_chern  # list of Polys c_1..c_dim or None
         self.todd = None  # normal form of td(T), set by bundles on first use
+        self._vars = {}  # name -> the class of that variable, built once
         self.gb = gb if gb is not None else GroebnerBasis(self.relations)
         if not all(any(lead) for lead in self.gb.leads):
             raise ValueError("the relations of %s generate the unit ideal"
@@ -202,7 +206,10 @@ class ChowRing:
         return ChowClass(self, parse_poly(text, self.sig))
 
     def var(self, name: str) -> ChowClass:
-        return ChowClass(self, Poly.variable(self.sig, name))
+        x = self._vars.get(name)
+        if x is None:
+            x = self._vars[name] = ChowClass(self, Poly.variable(self.sig, name))
+        return x
 
     def const(self, c) -> ChowClass:
         return _standard(self, Poly.constant(self.sig, c))

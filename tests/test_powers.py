@@ -5,7 +5,8 @@ once, and squares and multiplies any other class.  On every catalog ring
 and on bundle, blow-up and product rings, x ** n must equal the product of
 n copies of x starting from the ring's one, for single terms (with
 `Fraction` coefficients, and the zero class) and for sums of terms of
-mixed degree.
+mixed degree.  `Poly.__pow__` raises a single term in one step,
+{m: c} ** n = {n m: c ** n}, which must equal repeated multiplication too.
 """
 
 import functools
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from chowcalc.poly import GroebnerBasis, Poly
+from chowcalc.poly import GroebnerBasis, Poly, Signature
 from chowcalc.rings import (blowup_threefold_along_curve, catalog,
                             product_ring, projective_bundle)
 
@@ -132,3 +133,41 @@ def test_normal_forms_per_power(monkeypatch):
         del calls[:]
         x ** n
         assert len(calls) <= 2 * (n.bit_length() - 1), n
+
+
+SIGNATURES = [Signature.make([("x", 1), ("y", 1), ("z", 2)]),
+              catalog("B").sig]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sig=st.sampled_from(SIGNATURES), data=st.data(),
+       c=st.one_of(st.integers(-6, 6), st.fractions(
+           min_value=-3, max_value=3, max_denominator=5).filter(bool)),
+       n=st.integers(0, 7))
+def test_single_term_poly_power_equals_repeated_product(sig, data, c, n):
+    mono = data.draw(st.tuples(*[st.integers(0, 3)] * len(sig)))
+    term = Poly(sig, {mono: c})
+    product = Poly.one(sig)
+    for _ in range(n):
+        product = product * term
+    power = term ** n
+    assert power == product
+    assert power.terms == product.terms
+    assert all(type(v) is int or v.denominator != 1
+               for v in power.terms.values())
+
+
+def test_single_term_poly_power_edges():
+    sig = SIGNATURES[0]
+    term = Poly(sig, {(1, 0, 2): Fraction(-2, 3)})
+    assert term ** 0 == Poly.one(sig)
+    assert term ** 1 == term
+    assert Poly.zero(sig) ** 0 == Poly.one(sig)
+    assert Poly.zero(sig) ** 3 == Poly.zero(sig)
+    assert Poly(sig, {(0, 2, 0): Fraction(3, 2)}) ** 2 == \
+        Poly(sig, {(0, 4, 0): Fraction(9, 4)})
+    for bad in (True, 2.0):
+        with pytest.raises(TypeError):
+            term ** bad
+    with pytest.raises(ValueError):
+        term ** -1
