@@ -14,11 +14,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .poly import Poly, Signature, parse_poly
-from .linalg import det, rank
+from .poly import Poly, Signature, coefficient, parse_poly
+from .linalg import det, inverse, rank
 from .rings import (ChowRing, blowup_threefold_along_curve, catalog,
                     integrate_on_hyperplane_section, product_ring,
                     projective_bundle, projective_space, relative_canonical)
@@ -235,30 +234,31 @@ def _check_fb_triple_products(seed: int, rec: Recorder) -> None:
     rec.claim("v_i alpha_j alpha_k = 0 with v_i = h_2 - 2 alpha_i", v_ok)
 
 
-def _check_blowup_consistency(seed: int, rec: Recorder) -> None:
+def _blowup_of_p1_cubed(d1, d2, d3, g):
+    """The blow-up of P1^3 along a tri-degree (d1, d2, d3), genus g curve,
+    and alpha^2 . alpha_i (i = 1, 2, 3) and alpha^3 there, alpha = h - e."""
     base = _ring("P1^3")
     t = [base.var("alpha_%d" % i) for i in (1, 2, 3)]
-    # solve the centre: tri-degree d and genus g from alpha^2 . D = 0
-    solutions = []
-    for d in iproduct(range(4), repeat=3):
-        curve = (d[0] * (t[1] * t[2]).rep + d[1] * (t[0] * t[2]).rep
-                 + d[2] * (t[0] * t[1]).rep)
-        if curve.is_zero():
-            continue
-        for g in range(3):
-            bl = blowup_threefold_along_curve(base, curve, g)
-            e = bl.var("e")
-            tb = [bl.var("alpha_%d" % i) for i in (1, 2, 3)]
-            alpha = tb[0] + tb[1] + tb[2] - e
-            vals = [bl.integrate(alpha ** 2 * x) for x in tb]
-            vals.append(bl.integrate(alpha ** 3))
-            if all(v == 0 for v in vals):
-                solutions.append((d, g))
-    rec.expect("centres with alpha^2 . D = 0 for all divisors D",
-               solutions, [((2, 2, 2), 1)])
+    curve = d1 * t[1] * t[2] + d2 * t[0] * t[2] + d3 * t[0] * t[1]
+    bl = blowup_threefold_along_curve(base, curve, g)
+    tb = [bl.var("alpha_%d" % i) for i in (1, 2, 3)]
+    alpha = tb[0] + tb[1] + tb[2] - bl.var("e")
+    return bl, [bl.integrate(alpha ** 2 * x) for x in tb + [alpha]]
 
-    curve = 2 * ((t[1] * t[2]).rep + (t[0] * t[2]).rep + (t[0] * t[1]).rep)
-    bl = blowup_threefold_along_curve(base, curve, 1)
+
+def _check_blowup_consistency(seed: int, rec: Recorder) -> None:
+    # pi^*D . e^2 = -D.C and e^3 = -(-K.C + 2g - 2) make the four integrals
+    # affine in x = (d, g): read the map off unit steps from x0, solve once
+    x0 = (1, 1, 1, 0)
+    f0 = _blowup_of_p1_cubed(*x0)[1]
+    fs = [_blowup_of_p1_cubed(*[a + (i == j) for i, a in enumerate(x0)])[1]
+          for j in range(4)]
+    inv = inverse([[f[r] - f0[r] for f in fs] for r in range(4)])
+    x = [coefficient(a - sum(m * v for m, v in zip(row, f0)))
+         for a, row in zip(x0, inv)]
+    bl, vals = _blowup_of_p1_cubed(*x)
+    rec.expect("centres with alpha^2 . D = 0 for all divisors D",
+               [] if any(vals) else [(tuple(x[:3]), x[3])], [((2, 2, 2), 1)])
     e = bl.var("e")
     tb = [bl.var("alpha_%d" % i) for i in (1, 2, 3)]
     hb = tb[0] + tb[1] + tb[2]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -104,10 +105,15 @@ def _cmd_run(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     results = checks.run_checks(selected, seed=args.seed)
-    if args.format == "json":
-        _report_json(results, args.seed)
-    else:
-        _report_text(results, args.seed)
+    report = _report_json if args.format == "json" else _report_text
+    try:
+        report(results, args.seed)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (`verify run --all | head -1`): the rest
+        # of the report goes nowhere, and the exit code still gives the
+        # verdict of the run
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -416,6 +416,11 @@ def blowup_threefold_along_curve(base: ChowRing, curve, genus: int) -> ChowRing:
     The exceptional divisor is the new last variable, "e".
     Integration rules: pi^*D . e^2 = -(D.C)[pt], e^3 = -(-K.C + 2g - 2)[pt],
     e . pi^*(codim-2) = 0, and pi^* preserves base integrals.
+
+    The curve class must be nonzero and homogeneous of codimension 2; a zero
+    or mixed-degree class is refused with a ValueError before any ring is
+    built.  Any integer genus is accepted, the arithmetic genus of a
+    disconnected curve included (two disjoint lines have genus -1).
     """
     genus = as_int(genus)
     if base.dim != 3:
@@ -423,8 +428,8 @@ def blowup_threefold_along_curve(base: ChowRing, curve, genus: int) -> ChowRing:
     if base.tangent_chern is None:
         raise ValueError("base needs tangent data to know its canonical class")
     curve_rep = _on(base, curve, "curve class")
-    if base.sig.wdeg(curve_rep.leading_monomial()) != 2:
-        raise ValueError("curve class must have codimension 2")
+    if curve_rep.degree() != 2 or not curve_rep.is_homogeneous():
+        raise ValueError("curve class must be a nonzero class of codimension 2")
     if "e" in base.sig.names:
         raise ValueError("exceptional name clashes with a base variable")
     sig = Signature(base.sig.names + ("e",), base.sig.weights + (1,))

@@ -1,9 +1,13 @@
 """CLI behavior through main(argv): exit codes, report formats, dumps."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import chowcalc
 from chowcalc import checks
 from chowcalc.cli import main
 from chowcalc.pencil import BETA_TEXT, FLATTENING_TEXT
@@ -115,6 +119,27 @@ class TestRun:
             assert "summary: 0 passed, 1 failed, 1 total" in out
         finally:
             del checks.REGISTRY[probe.name]
+
+
+class TestClosedPipe:
+    """`verify run --all --slow | head -1`: a reader that leaves early ends
+    the report, not the run, so the exit code keeps the run's verdict."""
+
+    @pytest.mark.parametrize("lines_read", [0, 1])
+    def test_reader_leaving_early_keeps_exit_0(self, lines_read):
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(
+                       chowcalc.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "chowcalc.cli", "run", "--all", "--slow"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        for _ in range(lines_read):
+            assert proc.stdout.readline() == b"seed %d\n" % checks.DEFAULT_SEED
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 0, err
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestBott:

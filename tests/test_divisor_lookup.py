@@ -114,7 +114,8 @@ def test_a_standard_input_comes_back_as_it_is(data, name):
 
 
 def test_a_second_warm_normal_form_scans_no_lead(monkeypatch):
-    ring = catalog("B")
+    # a fresh B, not the shared catalog one, so the first pass is cold
+    ring = catalog.__wrapped__("B")
     gb = ring.gb
     # the rows are read only when some element has several terms
     assert any(len(g.terms) > 1 for g in gb)

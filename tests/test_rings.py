@@ -214,6 +214,21 @@ class TestConstructors:
         assert bl.integrate(e ** 3) == 0
         assert bl.integrate(e * bl.var("alpha_1") * bl.var("alpha_2")) == 0
 
+    def test_blowup_refuses_a_zero_or_mixed_degree_curve(self):
+        base = catalog("P1^3")
+        t = [base.var("alpha_%d" % i) for i in (1, 2, 3)]
+        for curve in (base.zero(), t[0] * t[1] + t[2]):
+            with pytest.raises(ValueError, match="curve class must be a "
+                               "nonzero class of codimension 2"):
+                blowup_threefold_along_curve(base, curve, 0)
+
+    def test_blowup_along_two_disjoint_lines(self):
+        # arithmetic genus -1: e^3 is the sum over the two lines, 0 + 0
+        base = catalog("P1^3")
+        t = [base.var("alpha_%d" % i) for i in (1, 2, 3)]
+        bl = blowup_threefold_along_curve(base, 2 * t[0] * t[1], -1)
+        assert bl.integrate(bl.var("e") ** 3) == 0
+
     def test_blowup_sextic_centre(self):
         base = catalog("P1^3")
         t = [base.var("alpha_%d" % i) for i in (1, 2, 3)]
