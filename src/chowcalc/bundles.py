@@ -27,16 +27,14 @@ from chowcalc.rings import ChowClass, ChowRing
 
 
 class BundleClass:
-    """rank + (c_1, ..., c_dim) on a fixed ring."""
+    """rank + (c_1, ..., c_dim) on a fixed ring; each c_i enters by cls."""
 
     __slots__ = ("ring", "rank", "chern")
 
     def __init__(self, ring: ChowRing, rank: int, chern):
         self.ring = ring
         self.rank = as_int(rank)
-        cs = [c if isinstance(c, ChowClass) else ring.cls(c) for c in chern]
-        if any(c.ring is not ring for c in cs):
-            raise ValueError("a Chern class lives on a different ring")
+        cs = [ring.cls(c, "c_%d" % i) for i, c in enumerate(chern, start=1)]
         cs = cs[:ring.dim]
         cs += [ring.zero()] * (ring.dim - len(cs))
         for i, c in enumerate(cs, start=1):
@@ -189,10 +187,9 @@ def _binomial(n: int, k: int) -> int:
     return (-1) ** k * comb(k - n - 1, k)
 
 
-def twist(e: BundleClass, d: ChowClass) -> BundleClass:
+def twist(e: BundleClass, d) -> BundleClass:
     """e tensor a line bundle with first Chern class d."""
-    if d.ring is not e.ring:
-        raise ValueError("twist class lives on a different ring")
+    d = e.ring.cls(d, "twist class")
     if not d.is_zero() and (not d.is_homogeneous() or d.degree() != 1):
         raise ValueError("twist class must be a divisor class")
     # c_t(E x L) = sum_j c_j t^j (1 + d t)^(r - j) over all j (Fulton, Ex.
@@ -259,10 +256,9 @@ def chern_character(e: BundleClass) -> ChowClass:
     return _class(e.ring, ch)
 
 
-def chern_from_character(ring: ChowRing, ch: ChowClass) -> BundleClass:
+def chern_from_character(ring: ChowRing, ch) -> BundleClass:
     """Invert the character: rank from degree 0, then Newton back to c_i."""
-    if ch.ring is not ring:
-        raise ValueError("character lives on a different ring")
+    ch = ring.cls(ch, "character")
     rank_c = ch.rep.constant_term()
     if rank_c.denominator != 1:
         raise ValueError("character has non-integral rank")
@@ -301,8 +297,7 @@ def todd_class(e: BundleClass) -> ChowClass:
 def tangent_bundle(ring: ChowRing) -> BundleClass:
     if ring.tangent_chern is None:
         raise ValueError("ring %s has no tangent data" % ring.label)
-    return BundleClass(ring, ring.dim,
-                       [ring.cls(c) for c in ring.tangent_chern])
+    return BundleClass(ring, ring.dim, ring.tangent_chern)
 
 
 def _tangent_todd(ring: ChowRing):
@@ -321,22 +316,21 @@ def hrr_chi(e: BundleClass) -> Fraction:
     return chi_of_character(e.ring, chern_character(e))
 
 
-def chi_of_character(ring: ChowRing, ch: ChowClass) -> Fraction:
+def chi_of_character(ring: ChowRing, ch) -> Fraction:
     """The integral of ch td(T): only its top part, the sum of ch_i
     td_(dim-i), is formed (normal forms keep degrees), and reduced once."""
-    if ch.ring is not ring:
-        raise ValueError("character lives on a different ring")
+    ch = ring.cls(ch, "character")
     n = ring.dim
     chs = _graded(ch.rep, n)
     tds = _graded(_tangent_todd(ring), n)
     acc = {}
     for i in range(n + 1):
         _add_product(acc, chs[i], tds[n - i])
-    return ring.integrate(ring.cls(Poly(ring.sig, acc)))
+    return ring.integrate(Poly(ring.sig, acc))
 
 
-def grr_push_curve(ambient: ChowRing, genus: int, curve_class: ChowClass,
-                   point_class: ChowClass, sheaf_degree) -> ChowClass:
+def grr_push_curve(ambient: ChowRing, genus: int, curve_class, point_class,
+                   sheaf_degree) -> ChowClass:
     """Chern character of the pushforward of a line bundle from a curve.
 
     The curve sits in the ambient n-fold with class in A^(n-1); the sheaf on
@@ -346,9 +340,8 @@ def grr_push_curve(ambient: ChowRing, genus: int, curve_class: ChowClass,
     """
     chi_c = as_int(sheaf_degree) + 1 - as_int(genus)
     n = ambient.dim
-    if curve_class.ring is not ambient or point_class.ring is not ambient:
-        raise ValueError("curve and point classes must live on the ambient "
-                         "ring")
+    curve_class = ambient.cls(curve_class, "curve class")
+    point_class = ambient.cls(point_class, "point class")
     if not curve_class.is_homogeneous() or curve_class.is_zero():
         raise ValueError("curve class must be nonzero homogeneous")
     codim = curve_class.degree()

@@ -732,7 +732,16 @@ def _check_property_suites(seed: int, rec: Recorder) -> None:
 # --------------------------------------------------------------------------
 # registry and runner
 
-_CHECKS = [
+
+def _registry(*checks: Check) -> Dict[str, Check]:
+    """Name -> check, in the given order; a name given twice is refused."""
+    registry = {c.name: c for c in checks}
+    if len(registry) != len(checks):
+        raise ValueError("duplicate check names")
+    return registry
+
+
+REGISTRY: Dict[str, Check] = _registry(
     Check("bott-six-weights", "1",
           "the six listed C3 weights are acyclic and the dimension anchors "
           "6/14/14 hold", False, _check_bott_six_weights),
@@ -829,15 +838,11 @@ _CHECKS = [
           "five seeded property suites, 200 instances each: ring axioms, "
           "normal forms, Whitney/Segre, Clebsch-Gordan, Pfaffians", False,
           _check_property_suites),
-]
-
-REGISTRY: Dict[str, Check] = {c.name: c for c in _CHECKS}
-if len(REGISTRY) != len(_CHECKS):
-    raise ValueError("duplicate check names")
+)
 
 
 def check_names() -> List[str]:
-    return [c.name for c in _CHECKS]
+    return list(REGISTRY)
 
 
 def get_check(name: str) -> Check:
@@ -873,10 +878,10 @@ def select_checks(names: Optional[Sequence[str]] = None,
                     "check %r is given more than once" % n)
             seen.add(n)
         return [get_check(n) for n in names]
-    chosen = list(_CHECKS)
+    chosen = list(REGISTRY.values())
     if section is not None:
         want = _normalize_section(section)
-        if want == "all" or not any(c.section == want for c in _CHECKS):
+        if want == "all" or not any(c.section == want for c in chosen):
             raise UnknownCheckError(
                 "no check belongs to section %r; `verify list` shows the "
                 "sections" % section)

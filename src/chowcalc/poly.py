@@ -14,7 +14,8 @@ genus through `as_int`; every division of two numbers is `exact_div`.  So
 no float is ever turned into a binary fraction, and `int / int` never makes
 one.  tests/test_exactness_lint.py holds the rest of src/ to this.
 
-A `Poly` is immutable, so it finds its leading term once, on the first
+A `Poly` is never changed once built (by convention: nothing writes to its
+terms after `__init__`), so it finds its leading term once, on the first
 `leading_term()` call, and keeps it: a normal form modulo a fixed basis
 reads each divisor's lead without re-scanning its terms.
 """
@@ -137,12 +138,12 @@ def grevlex_key(sig: Signature, mono: Monomial):
 
 
 class Poly:
-    """Immutable sparse polynomial attached to a Signature."""
+    """Sparse polynomial attached to a Signature, never changed once built."""
 
     __slots__ = ("sig", "terms", "_hash", "_lead")
 
     def __init__(self, sig: Signature, terms=None):
-        object.__setattr__(self, "sig", sig)
+        self.sig = sig
         clean = {}
         if terms:
             for mono, coeff in terms.items():
@@ -150,9 +151,9 @@ class Poly:
                     coeff = coefficient(coeff)
                 if coeff:
                     clean[tuple(mono)] = coeff
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_lead", None)
+        self.terms = clean
+        self._hash = None
+        self._lead = None
 
     # construction helpers -------------------------------------------------
 
@@ -260,9 +261,7 @@ class Poly:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(
-                self, "_hash",
-                hash((self.sig, frozenset(self.terms.items()))))
+            self._hash = hash((self.sig, frozenset(self.terms.items())))
         return self._hash
 
     def degree(self) -> int:
@@ -292,7 +291,7 @@ class Poly:
             if not self.terms:
                 raise ValueError("zero polynomial has no leading term")
             mono = max(self.terms, key=lambda m: grevlex_key(self.sig, m))
-            object.__setattr__(self, "_lead", (mono, self.terms[mono]))
+            self._lead = (mono, self.terms[mono])
         return self._lead
 
     def leading_monomial(self) -> Monomial:
@@ -556,11 +555,12 @@ def reduce_poly(p: Poly, divisors, table=None, found=None) -> Poly:
     a lookup and without them.
 
     When no monomial of p is reducible, p itself is returned (a Poly is
-    immutable).  When every divisor is a single term, the remainder is the
-    terms of p that no divisor divides, read off without the division loop.
-    It is the loop's own answer for any such list, Groebner basis or not:
-    cancelling a term by a monomial deletes that term and adds no other, so
-    the loop only ever drops the divisible terms of p and keeps the rest.
+    never changed once built).  When every divisor is a single term, the
+    remainder is the terms of p that no divisor divides, read off without
+    the division loop.  It is the loop's own answer for any such list,
+    Groebner basis or not: cancelling a term by a monomial deletes that
+    term and adds no other, so the loop only ever drops the divisible terms
+    of p and keeps the rest.
 
     Otherwise the pending terms sit in a dict and their monomials in a heap
     keyed by (-weighted degree, reversed exponents), whose smallest key is

@@ -20,7 +20,7 @@ constant).  So sums, differences, negations and scalar multiples of
 classes, and the constants zero(), one() and const(c), take their result
 as it is, through the one trusted constructor _standard, with no division;
 tests/test_standard_sites.py holds src/ to its listed call sites.
-Products, powers, cls, parse and any Poly operand reduce once; var reduces
+Products, powers, parse and any Poly given to cls reduce once; var reduces
 once per ring and variable, and returns the same class afterwards.  A
 power x^n of a single term (zeta^n, say) is a single term, so it is raised
 in Q[vars] and reduced once; any other power is squared and multiplied,
@@ -35,7 +35,11 @@ relation, whose lead zeta^r is coprime to every base lead.  One embedding,
 _lift, moves a Poly into a derived ring's variables: the base's (or a
 factor's) variables sit at a fixed offset in the new signature, and the
 exponent tuples are padded with zeros on both sides (pushforward drops
-them again).  A bundle or a blow-up refuses a class of another ring.
+them again).  Every entry here and in bundles takes a class through
+ChowRing.cls: a class of the ring as it is, a Poly reduced once (the normal
+form refuses another signature), a number through const (the exact gate
+refuses floats and bools), and a class of another ring refused ("different
+ring").
 """
 
 from __future__ import annotations
@@ -66,14 +70,8 @@ class ChowClass:
         self.rep = ring.gb.normal_form(rep)
 
     def _coerce(self, other):
-        if isinstance(other, ChowClass):
-            if other.ring is not self.ring:
-                raise ValueError("classes live on different rings")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.const(other)
-        if isinstance(other, Poly):
-            return ChowClass(self.ring, other)
+        if isinstance(other, (ChowClass, Poly, int, Fraction)):
+            return self.ring.cls(other)
         return NotImplemented
 
     # sums and scalar multiples of normal forms are normal forms
@@ -220,8 +218,16 @@ class ChowRing:
     def one(self) -> ChowClass:
         return self.const(1)
 
-    def cls(self, poly: Poly) -> ChowClass:
-        return ChowClass(self, poly)
+    def cls(self, x, what: str = "class") -> ChowClass:
+        """x as a class of this ring, by the rule in the module docstring."""
+        if isinstance(x, ChowClass):
+            if x.ring is not self:
+                raise ValueError("%s lives on %s, a different ring from %s"
+                                 % (what, x.ring.label, self.label))
+            return x
+        if isinstance(x, Poly):
+            return ChowClass(self, x)
+        return self.const(x)
 
     # structure ------------------------------------------------------------
 
@@ -236,9 +242,8 @@ class ChowRing:
 
     # integration ----------------------------------------------------------
 
-    def integrate(self, x: ChowClass) -> Fraction:
-        if not isinstance(x, ChowClass) or x.ring is not self:
-            raise ValueError("can only integrate classes of this ring")
+    def integrate(self, x) -> Fraction:
+        x = self.cls(x)
         if not x.is_homogeneous():
             raise ValueError("cannot integrate an inhomogeneous class")
         if x.degree() != self.dim:
@@ -248,22 +253,20 @@ class ChowRing:
         return Fraction(sum(c * self.top.get(m, 0)
                             for m, c in x.rep.terms.items()))
 
-    def pushforward(self, x: ChowClass) -> ChowClass:
+    def pushforward(self, x) -> ChowClass:
         """pi_* to the base of a bundle ring (zeta-degree r-1 coefficient)."""
         if self.rank is None:
             raise ValueError("pushforward needs a projective-bundle ring")
-        if x.ring is not self:
-            raise ValueError("class does not live on this ring")
+        x = self.cls(x)
         terms = {m[1:]: c for m, c in x.rep.terms.items()
                  if m[0] == self.rank - 1}
         return ChowClass(self.base, Poly(self.base.sig, terms))
 
-    def pullback(self, x: ChowClass) -> ChowClass:
+    def pullback(self, x) -> ChowClass:
         """pi^* from the base of a bundle ring (inject base variables)."""
         if self.rank is None:
             raise ValueError("pullback needs a projective-bundle ring")
-        if x.ring is not self.base:
-            raise ValueError("class does not live on the base")
+        x = self.base.cls(x)
         return ChowClass(self, _lift(x.rep, self.sig, 1))
 
     def __repr__(self):
@@ -321,16 +324,6 @@ def _lift(p: Poly, sig: Signature, offset: int) -> Poly:
     return Poly(sig, {left + m + right: c for m, c in p.terms.items()})
 
 
-def _on(ring: ChowRing, x, what: str) -> Poly:
-    """The Poly of a class of ring; a Poly passes as it is."""
-    if not isinstance(x, ChowClass):
-        return x
-    if x.ring is not ring:
-        raise ValueError("%s lives on %s, not on %s"
-                         % (what, x.ring.label, ring.label))
-    return x.rep
-
-
 def _lifted(ring: ChowRing, sig: Signature, offset: int):
     """The ring's relations and reduced basis, each lifted by _lift."""
     return ([_lift(r, sig, offset) for r in ring.relations],
@@ -376,11 +369,11 @@ def product_ring(a: ChowRing, b: ChowRing) -> ChowRing:
 def projective_bundle(base: ChowRing, chern, zeta: str, label=None) -> ChowRing:
     """Proj of a rank-r bundle with Chern classes c_1..c_r over the base.
 
-    chern is the list [c_1, ..., c_r] of base ChowClasses (or Polys), each
+    chern is the list [c_1, ..., c_r], each taken by base.cls and each
     homogeneous of its degree or zero; the tautological relation uses the
     rank-one-quotient sign convention zeta^r - c_1 zeta^(r-1) + ... = 0.
     """
-    cherns = [base.normal_form(_on(base, c, "c_%d" % i))
+    cherns = [base.cls(c, "c_%d" % i).rep
               for i, c in enumerate(chern, start=1)]
     r = len(cherns)
     if zeta in base.sig.names:
@@ -417,17 +410,18 @@ def blowup_threefold_along_curve(base: ChowRing, curve, genus: int) -> ChowRing:
     Integration rules: pi^*D . e^2 = -(D.C)[pt], e^3 = -(-K.C + 2g - 2)[pt],
     e . pi^*(codim-2) = 0, and pi^* preserves base integrals.
 
-    The curve class must be nonzero and homogeneous of codimension 2; a zero
-    or mixed-degree class is refused with a ValueError before any ring is
-    built.  Any integer genus is accepted, the arithmetic genus of a
-    disconnected curve included (two disjoint lines have genus -1).
+    The curve class, taken by base.cls, must be nonzero and homogeneous of
+    codimension 2 in the ring (alpha_1^2 on P1^3 is 0 there); any other is
+    refused with a ValueError before any ring is built.  Any integer genus
+    is accepted, the arithmetic genus of a disconnected curve
+    included (two disjoint lines have genus -1).
     """
     genus = as_int(genus)
     if base.dim != 3:
         raise ValueError("base must be a threefold")
     if base.tangent_chern is None:
         raise ValueError("base needs tangent data to know its canonical class")
-    curve_rep = _on(base, curve, "curve class")
+    curve_rep = base.cls(curve, "curve class").rep
     if curve_rep.degree() != 2 or not curve_rep.is_homogeneous():
         raise ValueError("curve class must be a nonzero class of codimension 2")
     if "e" in base.sig.names:
@@ -436,7 +430,7 @@ def blowup_threefold_along_curve(base: ChowRing, curve, genus: int) -> ChowRing:
     rels, gens = _lifted(base, sig, 0)
 
     def degree_on_curve(p: Poly) -> Fraction:
-        return base.integrate(ChowClass(base, p * curve_rep))
+        return base.integrate(p * curve_rep)
 
     top = {m + (0,): v for m, v in base.top.items()}
     for m in base.standard_monomials(1):
@@ -448,11 +442,11 @@ def blowup_threefold_along_curve(base: ChowRing, curve, genus: int) -> ChowRing:
                     gb=_lifted_gb(sig, gens), base=base)
 
 
-def integrate_on_hyperplane_section(ambient: ChowRing, hyperplane: ChowClass,
-                                    x: ChowClass) -> Fraction:
+def integrate_on_hyperplane_section(ambient: ChowRing, hyperplane,
+                                    x) -> Fraction:
     """Integral over the divisor cut by `hyperplane` of the restriction of x."""
-    if x.ring is not ambient or hyperplane.ring is not ambient:
-        raise ValueError("classes must live on the ambient ring")
+    hyperplane = ambient.cls(hyperplane, "hyperplane class")
+    x = ambient.cls(x)
     if not hyperplane.is_zero() and (not hyperplane.is_homogeneous()
                                      or hyperplane.degree() != 1):
         raise ValueError("hyperplane class must be a divisor class")
@@ -489,7 +483,7 @@ def catalog(name: str) -> ChowRing:
     if name == "FB":
         p1_4 = catalog("P1^4")
         divisor = parse_poly("alpha_1 + alpha_2 + alpha_3 + alpha_4", p1_4.sig)
-        top = {m: p1_4.integrate(p1_4.cls(Poly(p1_4.sig, {m: 1}) * divisor))
+        top = {m: p1_4.integrate(Poly(p1_4.sig, {m: 1}) * divisor)
                for m in p1_4.standard_monomials(3)}
         return ChowRing("FB", p1_4.sig, list(p1_4.relations), 3,
                         top=top, gb=p1_4.gb)

@@ -3,6 +3,7 @@
 import pytest
 
 from chowcalc import checks
+from chowcalc.cli import main
 
 ACCEPTANCE_NAMES = [
     "deg-FB-24", "alphai-deg-6", "chow-B-presentation", "gensA2B-relation",
@@ -43,6 +44,21 @@ class TestRegistry:
     def test_every_check_has_a_reference_line(self):
         for name in checks.check_names():
             assert checks.get_check(name).ref
+
+    def test_a_registered_check_is_named_selected_and_listed(
+            self, monkeypatch, capsys):
+        probe = checks.Check("registry-probe", "1", "dev probe", False,
+                             lambda seed, rec: rec.claim("holds", True))
+        monkeypatch.setitem(checks.REGISTRY, probe.name, probe)
+        assert checks.check_names()[-1] == probe.name
+        assert checks.select_checks(include_slow=True)[-1] is probe
+        assert main(["list"]) == 0
+        assert "registry-probe" in capsys.readouterr().out
+
+    def test_a_duplicate_name_is_refused(self):
+        probe = checks.get_check("deg-FB-24")
+        with pytest.raises(ValueError, match="duplicate check names"):
+            checks._registry(probe, probe)
 
 
 class TestSelection:
