@@ -9,10 +9,12 @@ most arithmetic runs on ints rather than Fractions.
 
 One gate for exact numbers, for the whole package: every number that enters
 it (a coefficient, a matrix entry, a point to evaluate at) passes through
-`coefficient`, which refuses floats and bools, and every count, degree or
-genus through `as_int`; every division of two numbers is `exact_div`.  So
-no float is ever turned into a binary fraction, and `int / int` never makes
-one.  tests/test_exactness_lint.py holds the rest of src/ to this.
+`coefficient`, which admits an int or a Fraction and refuses every other
+type (floats, bools, strings, Decimals), and every count, degree or genus
+through `as_int`; every division of two numbers is `exact_div`.  So no
+float is ever turned into a binary fraction, no string is parsed into a
+number, and `int / int` never makes one.  tests/test_exactness_lint.py
+holds the rest of src/ to this.
 
 A `Poly` is never changed once built (by convention: nothing writes to its
 terms after `__init__`), so it finds its leading term once, on the first
@@ -27,6 +29,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import inf
 from operator import add, le, mul, neg, sub
@@ -76,16 +79,15 @@ class Signature:
 
 def coefficient(c):
     """An exact rational in stored form: an int when it is integral, else a
-    Fraction (whose denominator is then never 1).  Floats and bools are
-    refused."""
+    Fraction (whose denominator is then never 1).  Only an int or a Fraction
+    is admitted: a float, a bool, a string, a Decimal or any other type is
+    refused, rather than parsed or converted into a number."""
     t = type(c)
     if t is int:
         return c
     if t is not Fraction:
-        if isinstance(c, (float, bool)):
-            raise TypeError("coefficients must be exact rationals, not %s"
-                            % t.__name__)
-        c = Fraction(c)
+        raise TypeError("coefficients must be exact rationals (int or "
+                        "Fraction), not %s" % t.__name__)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -750,12 +752,31 @@ def _axpy(row, factor, other):
 class GroebnerBasis:
     """A reduced Groebner basis with normal-form and Hilbert services.
 
-    It builds reduce_poly's division table once, in `table`, and keeps
-    reduce_poly's lookup `found` (monomial -> position of the first element
-    whose lead divides it, or None) across normal forms, so a warm basis
-    decides each monomial once.  The lookup holds only monomials of
-    weighted degree at most `table`'s bound, and nothing for a basis
-    without a pure power of every variable (a blow-up's, say).
+    The normal form of a polynomial modulo a Groebner basis is unique, so
+    it may be found in two ways, and `normal_form` is the one entry point
+    for both.  A presented basis divides: reduce_poly runs with the
+    division table `table`, built once, and the lookup `found` (monomial
+    -> position of the first element whose lead divides it, or None), kept
+    across normal forms up to the table's pure-power bound, so a warm basis
+    decides each monomial once.
+
+    A derived basis (made by `derived`: a product's, a projective bundle's
+    or a blow-up's, in rings.py) divides nothing.  Its `rule` gives the
+    normal form of one monomial from the normal forms of the ring it is
+    built on, and a normal form is the sum of its monomials' forms:
+      - blow-up: NF(m e^k) = NF_base(m) e^k, since no lead involves e;
+      - product: NF(m_a m_b) = NF_A(m_a) NF_B(m_b), since each lead lies
+        in one factor's variables;
+      - projective bundle of rank r: NF(zeta^k m) = sum over j < r of
+        zeta^j NF_base(s_kj m), where zeta^k = sum_j zeta^j s_kj modulo
+        the tautological relation, extended one power at a time.
+    It reads no division table: `table` is built only when asked for.
+
+    Both kinds keep `forms`: monomial -> the terms of its normal form, or
+    None when it is standard.  `limit` bounds the weighted degree of what
+    is kept: the ring's dimension for a derived basis, the table's
+    pure-power bound for a presented one (nothing when there is none,
+    the same rule as `found`), so each holds finitely many monomials.
     """
 
     def __init__(self, generators, precomputed: bool = False):
@@ -764,14 +785,73 @@ class GroebnerBasis:
             raise ValueError("need at least one nonzero generator")
         self.sig = gens[0].sig
         self.elements = list(gens) if precomputed else groebner_basis(gens)
-        self.table = division_table(self.elements)
-        self.leads = self.table[0]
+        self.leads = [g.leading_monomial() for g in self.elements]
         self.found = {}
+        self.forms = {}
+        self.rule = None
+
+    @classmethod
+    def derived(cls, elements, rule, limit: int) -> "GroebnerBasis":
+        """A basis of already reduced elements, sorted here by ascending
+        leading monomial, whose monomials take their normal forms from
+        `rule` (monomial -> terms of its normal form, or None when it is
+        standard); `forms` keeps those of weighted degree at most `limit`."""
+        elements = sorted(elements, key=lambda p: grevlex_key(
+            p.sig, p.leading_monomial()))
+        gb = cls(elements, True)
+        gb.rule = rule
+        gb.limit = limit
+        return gb
+
+    @cached_property
+    def table(self):
+        """reduce_poly's division table for the elements, built once."""
+        return division_table(self.elements)
+
+    @cached_property
+    def limit(self):
+        """Largest weighted degree kept in `forms`; see the class docstring."""
+        bound = self.table[2]
+        return -1 if bound is None else bound
 
     def normal_form(self, p: Poly) -> Poly:
+        """p reduced modulo the basis; p itself when it is standard.  A
+        derived basis sums the forms of p's monomials."""
         if p.sig != self.sig:
             raise ValueError("polynomial signature does not match basis")
-        return reduce_poly(p, self.elements, self.table, self.found)
+        if self.rule is None:
+            return reduce_poly(p, self.elements, self.table, self.found)
+        get, form = self.forms.get, self.form
+        forms = []
+        for m in p.terms:
+            f = get(m, _UNSEEN)
+            forms.append(form(m) if f is _UNSEEN else f)
+        if forms.count(None) == len(forms):
+            return p
+        out = {}
+        for (m, c), f in zip(p.terms.items(), forms):
+            if f is None:
+                out[m] = out.get(m, 0) + c
+            else:
+                for m2, c2 in f.items():
+                    out[m2] = out.get(m2, 0) + c * c2
+        return Poly(self.sig, out)
+
+    def form(self, mono: Monomial):
+        """The terms of mono's normal form, or None when mono is standard;
+        kept in `forms` when mono's weighted degree is at most `limit`."""
+        f = self.forms.get(mono, _UNSEEN)
+        if f is not _UNSEEN:
+            return f
+        if self.rule is None:
+            p = Poly(self.sig, {mono: 1})
+            nf = reduce_poly(p, self.elements, self.table, self.found)
+            f = None if nf is p else nf.terms
+        else:
+            f = self.rule(mono)
+        if sum(map(mul, self.sig.weights, mono)) <= self.limit:
+            self.forms[mono] = f
+        return f
 
     def standard_monomials(self, degree: int):
         """Monomials of the given weighted degree outside the lead ideal."""

@@ -24,22 +24,39 @@ Products, powers, parse and any Poly given to cls reduce once; var reduces
 once per ring and variable, and returns the same class afterwards.  A
 power x^n of a single term (zeta^n, say) is a single term, so it is raised
 in Q[vars] and reduced once; any other power is squared and multiplied,
-about 2 log2 n products, each reduced.  The division itself is the ring's
-basis' (poly.GroebnerBasis): it decides once per monomial which relation
-cancels it, and returns a polynomial that is already standard as it is.
+about 2 log2 n products, each reduced.  The normal form itself is the
+ring's basis' (poly.GroebnerBasis), and it returns a polynomial that is
+already standard as it is.
 
 Presented rings compute their reduced basis degree by degree
-(poly.groebner_basis).  Derived rings compute none: they lift the reduced
-bases of their factors or base, and a bundle adds its tautological
-relation, whose lead zeta^r is coprime to every base lead.  One embedding,
-_lift, moves a Poly into a derived ring's variables: the base's (or a
-factor's) variables sit at a fixed offset in the new signature, and the
-exponent tuples are padded with zeros on both sides (pushforward drops
-them again).  Every entry here and in bundles takes a class through
-ChowRing.cls: a class of the ring as it is, a Poly reduced once (the normal
-form refuses another signature), a number through const (the exact gate
-refuses floats and bools), and a class of another ring refused ("different
-ring").
+(poly.groebner_basis) and divide by it, deciding once per monomial which
+relation cancels it.  Derived rings run neither computation nor
+division.  Their basis is the lifted reduced bases of their factors or
+base, plus a bundle's tautological relation, whose lead zeta^r is coprime
+to every base lead; _lifted keeps the lifted relations and basis on the
+base, one per (signature, offset).  Each monomial's normal form comes
+from the base's by one of three rules (the normal form is unique, so each
+gives the division's remainder):
+  - blow-up: NF(m e^k) = NF_base(m) e^k;
+  - product: NF(m_a m_b) = NF_A(m_a) NF_B(m_b);
+  - projective bundle of rank r: NF(zeta^k m) = sum over j < r of
+    zeta^j NF_base(s_kj m), where zeta^k = sum_j zeta^j s_kj comes from a
+    per-ring table, extended one power at a time through the tautological
+    relation.
+A derived basis keeps these forms in its memo for monomials of weighted
+degree at most the ring's dimension, and a presented basis keeps its own
+monomials' forms up to its pure-power bound.  A blow-up's basis depends on
+its base alone and a product's on its two factors, so each is built once
+and kept on the base (or first factor), one per signature and dimension,
+with its memo.
+One embedding, _lift, moves a Poly into a derived ring's variables: the
+base's (or a factor's) variables sit at a fixed offset in the new
+signature, and the exponent tuples are padded with zeros on both sides
+(pushforward drops them again).  Every entry here and in bundles takes a
+class through ChowRing.cls: a class of the ring as it is, a Poly reduced
+once (the normal form refuses another signature), a number through const
+(the exact gate admits only ints and Fractions), and a class of another
+ring refused ("different ring").
 """
 
 from __future__ import annotations
@@ -55,7 +72,7 @@ from chowcalc.poly import (
     as_int,
     coefficient,
     exact_div,
-    grevlex_key,
+    mono_mul,
     parse_poly,
 )
 
@@ -190,6 +207,8 @@ class ChowRing:
         self.tangent_chern = tangent_chern  # list of Polys c_1..c_dim or None
         self.todd = None  # normal form of td(T), set by bundles on first use
         self._vars = {}  # name -> the class of that variable, built once
+        self._lifts = {}  # (sig, offset) -> lifted relations and basis
+        self._bases = {}  # (sig, dim) -> (partner, basis), see _reused_gb
         self.gb = gb if gb is not None else GroebnerBasis(self.relations)
         if not all(any(lead) for lead in self.gb.leads):
             raise ValueError("the relations of %s generate the unit ideal"
@@ -243,15 +262,16 @@ class ChowRing:
     # integration ----------------------------------------------------------
 
     def integrate(self, x) -> Fraction:
-        x = self.cls(x)
-        if not x.is_homogeneous():
+        terms = self.cls(x).rep.terms
+        degrees = set(map(self.sig.wdeg, terms))  # each read once
+        if len(degrees) > 1:
             raise ValueError("cannot integrate an inhomogeneous class")
-        if x.degree() != self.dim:
+        if degrees != {self.dim}:
             return Fraction(0)
         if self.top is None:
             raise ValueError("ring %s has no integration rule" % self.label)
         return Fraction(sum(c * self.top.get(m, 0)
-                            for m, c in x.rep.terms.items()))
+                            for m, c in terms.items()))
 
     def pushforward(self, x) -> ChowClass:
         """pi_* to the base of a bundle ring (zeta-degree r-1 coefficient)."""
@@ -325,16 +345,62 @@ def _lift(p: Poly, sig: Signature, offset: int) -> Poly:
 
 
 def _lifted(ring: ChowRing, sig: Signature, offset: int):
-    """The ring's relations and reduced basis, each lifted by _lift."""
-    return ([_lift(r, sig, offset) for r in ring.relations],
+    """The ring's relations and reduced basis, each lifted by _lift; kept on
+    the ring per (sig, offset), so rebuilding a derived ring lifts nothing."""
+    key = (sig, offset)
+    lifted = ring._lifts.get(key)
+    if lifted is None:
+        lifted = ring._lifts[key] = (
+            [_lift(r, sig, offset) for r in ring.relations],
             [_lift(g, sig, offset) for g in ring.gb])
+    return lifted
 
 
-def _lifted_gb(sig: Signature, elements):
-    """Wrap an already reduced basis, sorted by ascending leading monomial."""
-    elements = sorted(elements,
-                      key=lambda p: grevlex_key(sig, p.leading_monomial()))
-    return GroebnerBasis(elements, precomputed=True)
+def _reused_gb(ring: ChowRing, partner, sig: Signature, elements, rule,
+               dim: int):
+    """A blow-up's or product's derived basis over `ring`.  It depends only
+    on the ring's basis and on `partner` (the other factor's basis, or
+    None), so it is kept on the ring, one per (sig, dim), and reused, its
+    forms warm, while the same partner comes back."""
+    key = (sig, dim)
+    kept = ring._bases.get(key)
+    if kept is None or kept[0] is not partner:
+        kept = ring._bases[key] = (
+            partner, GroebnerBasis.derived(elements, rule, dim))
+    return kept[1]
+
+
+def _product_rule(gb_a: GroebnerBasis, gb_b: GroebnerBasis, off: int):
+    """NF(m_a m_b) = NF_A(m_a) NF_B(m_b): each lead lies in one factor."""
+    form_a, form_b = gb_a.form, gb_b.form
+
+    def rule(mono):
+        ma, mb = mono[:off], mono[off:]
+        fa, fb = form_a(ma), form_b(mb)
+        if fa is None and fb is None:
+            return None
+        if fa is None:
+            fa = {ma: 1}
+        if fb is None:
+            fb = {mb: 1}
+        return _stored({x + y: c * d for x, c in fa.items()
+                        for y, d in fb.items()})
+
+    return rule
+
+
+def _blowup_rule(base_gb: GroebnerBasis):
+    """NF(m e^k) = NF_base(m) e^k: no lead involves e, the last variable."""
+    form = base_gb.form
+
+    def rule(mono):
+        f = form(mono[:-1])
+        if f is None:
+            return None
+        e = mono[-1:]
+        return {m + e: c for m, c in f.items()}
+
+    return rule
 
 
 def product_ring(a: ChowRing, b: ChowRing) -> ChowRing:
@@ -345,25 +411,36 @@ def product_ring(a: ChowRing, b: ChowRing) -> ChowRing:
         raise ValueError("variable name clash: %s" % ", ".join(sorted(clash)))
     sig = Signature(a.sig.names + b.sig.names, a.sig.weights + b.sig.weights)
     off = len(a.sig)
-    rels_a, gb_a = _lifted(a, sig, 0)
-    rels_b, gb_b = _lifted(b, sig, off)
-    # disjoint variables: the union of the two reduced bases is itself reduced
-    gb = _lifted_gb(sig, gb_a + gb_b)
+    dim = a.dim + b.dim
+    rels_a, gens_a = _lifted(a, sig, 0)
+    rels_b, gens_b = _lifted(b, sig, off)
+    # disjoint variables: the union of the two reduced bases is reduced
+    gb = _reused_gb(a, b.gb, sig, gens_a + gens_b,
+                    _product_rule(a.gb, b.gb, off), dim)
     top = {ma + mb: va * vb
            for ma, va in a.top.items() for mb, vb in b.top.items()}
     tangent = None
     if a.tangent_chern is not None and b.tangent_chern is not None:
-        ca = Poly.one(sig)
-        for t in a.tangent_chern:
-            ca = ca + _lift(t, sig, 0)
-        cb = Poly.one(sig)
-        for t in b.tangent_chern:
-            cb = cb + _lift(t, sig, off)
-        prod = ca * cb
-        tangent = [prod.homogeneous_part(i) for i in range(1, a.dim + b.dim + 1)]
+        # c(T) = c(T_A) c(T_B), split into degrees 1..dim in one pass
+        parts = [{} for _ in range(dim + 1)]
+        terms_b = _chern_terms(b)
+        for ma, x, da in _chern_terms(a):
+            for mb, y, db in terms_b:
+                if da + db <= dim:
+                    part = parts[da + db]
+                    part[ma + mb] = part.get(ma + mb, 0) + x * y
+        tangent = [Poly(sig, part) for part in parts[1:]]
     return ChowRing("%s x %s" % (a.label, b.label),
-                    sig, rels_a + rels_b, a.dim + b.dim, top=top,
+                    sig, rels_a + rels_b, dim, top=top,
                     tangent_chern=tangent, gb=gb)
+
+
+def _chern_terms(ring: ChowRing):
+    """(monomial, coefficient, weighted degree) of each term of c(T)."""
+    sig = ring.sig
+    return [((0,) * len(sig), 1, 0)] + [
+        (m, c, sig.wdeg(m)) for t in ring.tangent_chern
+        for m, c in t.terms.items()]
 
 
 def projective_bundle(base: ChowRing, chern, zeta: str, label=None) -> ChowRing:
@@ -372,7 +449,11 @@ def projective_bundle(base: ChowRing, chern, zeta: str, label=None) -> ChowRing:
     chern is the list [c_1, ..., c_r], each taken by base.cls and each
     homogeneous of its degree or zero; the tautological relation uses the
     rank-one-quotient sign convention zeta^r - c_1 zeta^(r-1) + ... = 0.
+    The base must have an integration rule.
     """
+    if base.top is None:
+        raise ValueError("projective_bundle needs a base with an "
+                         "integration rule")
     cherns = [base.cls(c, "c_%d" % i).rep
               for i, c in enumerate(chern, start=1)]
     r = len(cherns)
@@ -383,16 +464,81 @@ def projective_bundle(base: ChowRing, chern, zeta: str, label=None) -> ChowRing:
             raise ValueError("c_%d must be homogeneous of degree %d" % (i, i))
     sig = Signature((zeta,) + base.sig.names, (1,) + base.sig.weights)
     rels, gens = _lifted(base, sig, 1)
-    z = Poly.variable(sig, zeta)
-    rel = z ** r
+    # zeta^r = sum_j zeta^j s_rj, s_(r, r-i) = (-1)^(i+1) c_i; the relation
+    # is zeta^r minus that sum, written term by term
+    taut = [{} for _ in range(r)]
+    terms = {(r,) + (0,) * len(base.sig): 1}
     for i, ci in enumerate(cherns, start=1):
-        rel = rel + (-1) ** i * _lift(ci, sig, 1) * z ** (r - i)
-    # rel has lead zeta^r, coprime to every base lead, and a reduced tail
-    gb = _lifted_gb(sig, gens + [rel])
+        sign = 1 if i % 2 else -1
+        taut[r - i] = {m: sign * c for m, c in ci.terms.items()}
+        for m, c in ci.terms.items():
+            terms[(r - i,) + m] = -sign * c
+    rel = Poly(sig, terms)
+    dim = base.dim + r - 1
+    gb = GroebnerBasis.derived(gens + [rel], _bundle_rule(base.gb, taut), dim)
     top = {(r - 1,) + m: v for m, v in base.top.items()}
     return ChowRing(label or "Proj over %s" % base.label,
-                    sig, rels + [rel], base.dim + r - 1, top=top, gb=gb,
+                    sig, rels + [rel], dim, top=top, gb=gb,
                     base=base, chern=cherns)
+
+
+def _bundle_rule(base_gb: GroebnerBasis, taut):
+    """NF(zeta^k m) = sum over j < r of zeta^j NF_base(s_kj m), where
+    zeta^k = sum_j zeta^j s_kj.  No lead but zeta^r involves zeta, so for
+    k < r this is zeta^k NF_base(m).  `taut` is [s_r0, ..., s_r(r-1)], and
+    zeta^(k+1) = zeta zeta^k gives
+        s_(k+1)j = s_k(j-1) + NF_base(s_k(r-1) s_rj);
+    `powers[k - r]` holds [s_k0, ..., s_k(r-1)], one power added at a time."""
+    r = len(taut)
+    form = base_gb.form
+    powers = [taut]
+
+    def add_form(out, prefix, mono, c):
+        """out += c NF_base(mono), each monomial keyed as prefix + it:
+        () for base terms, (j,) for terms of zeta^j."""
+        f = form(mono)
+        if f is None:
+            f = {mono: 1}
+        for x, d in f.items():
+            key = prefix + x
+            out[key] = out.get(key, 0) + c * d
+
+    def power(k):
+        while len(powers) <= k - r:
+            last = powers[-1]
+            if not any(last):
+                return last  # zeta^k is 0, and so is every higher power
+            carry = last[r - 1]
+            nxt = []
+            for j in range(r):
+                s = dict(last[j - 1]) if j else {}
+                for x, c in carry.items():
+                    for y, d in taut[j].items():
+                        add_form(s, (), mono_mul(x, y), c * d)
+                nxt.append(_stored(s))
+            powers.append(nxt)
+        return powers[k - r]
+
+    def rule(mono):
+        k, m = mono[0], mono[1:]
+        if k < r:
+            f = form(m)
+            if f is None:
+                return None
+            return {(k,) + x: c for x, c in f.items()}
+        out = {}
+        for j, s in enumerate(power(k)):
+            for t, c in s.items():
+                add_form(out, (j,), mono_mul(t, m), c)
+        return _stored(out)
+
+    return rule
+
+
+def _stored(terms: dict) -> dict:
+    """The nonzero terms, each coefficient in stored form."""
+    return {m: c if type(c) is int else coefficient(c)
+            for m, c in terms.items() if c}
 
 
 def relative_canonical(pb: ChowRing) -> ChowClass:
@@ -410,7 +556,8 @@ def blowup_threefold_along_curve(base: ChowRing, curve, genus: int) -> ChowRing:
     Integration rules: pi^*D . e^2 = -(D.C)[pt], e^3 = -(-K.C + 2g - 2)[pt],
     e . pi^*(codim-2) = 0, and pi^* preserves base integrals.
 
-    The curve class, taken by base.cls, must be nonzero and homogeneous of
+    The base needs an integration rule and tangent data.  The curve class,
+    taken by base.cls, must be nonzero and homogeneous of
     codimension 2 in the ring (alpha_1^2 on P1^3 is 0 there); any other is
     refused with a ValueError before any ring is built.  Any integer genus
     is accepted, the arithmetic genus of a disconnected curve
@@ -419,6 +566,9 @@ def blowup_threefold_along_curve(base: ChowRing, curve, genus: int) -> ChowRing:
     genus = as_int(genus)
     if base.dim != 3:
         raise ValueError("base must be a threefold")
+    if base.top is None:
+        raise ValueError("blowup_threefold_along_curve needs a base with an "
+                         "integration rule")
     if base.tangent_chern is None:
         raise ValueError("base needs tangent data to know its canonical class")
     curve_rep = base.cls(curve, "curve class").rep
@@ -428,6 +578,8 @@ def blowup_threefold_along_curve(base: ChowRing, curve, genus: int) -> ChowRing:
         raise ValueError("exceptional name clashes with a base variable")
     sig = Signature(base.sig.names + ("e",), base.sig.weights + (1,))
     rels, gens = _lifted(base, sig, 0)
+    # the basis depends on the base only, not on the curve
+    gb = _reused_gb(base, None, sig, gens, _blowup_rule(base.gb), 3)
 
     def degree_on_curve(p: Poly) -> Fraction:
         return base.integrate(p * curve_rep)
@@ -438,8 +590,8 @@ def blowup_threefold_along_curve(base: ChowRing, curve, genus: int) -> ChowRing:
     minus_k = base.tangent_chern[0]  # -K_base = c1(T_base)
     top[(0,) * len(base.sig) + (3,)] = \
         -(degree_on_curve(minus_k) + 2 * genus - 2)
-    return ChowRing("Bl %s" % base.label, sig, rels, 3, top=top,
-                    gb=_lifted_gb(sig, gens), base=base)
+    return ChowRing("Bl %s" % base.label, sig, rels, 3, top=top, gb=gb,
+                    base=base)
 
 
 def integrate_on_hyperplane_section(ambient: ChowRing, hyperplane,

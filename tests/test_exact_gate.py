@@ -1,8 +1,10 @@
 """One gate for exact numbers: every public entry point that takes a number
-refuses floats and bools, and linear algebra stores entries like Poly does.
+admits only ints and Fractions, refusing floats, bools, strings and
+Decimals, and linear algebra stores entries like Poly does.
 """
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ from chowcalc.pencil import (PENCIL_SIG, SkewPencil, graph_plane,
 from chowcalc.poly import Poly, Signature, parse_poly
 from chowcalc.rings import presented, projective_space
 
-BAD = [0.5, True]
+BAD = [0.5, True, "1/2", Decimal("0.1")]
 
 
 def _put(vector, i, value):
@@ -71,11 +73,34 @@ PROBES = {
 }
 
 
-@pytest.mark.parametrize("bad", BAD, ids=["float", "bool"])
+@pytest.mark.parametrize("bad", BAD, ids=["float", "bool", "str", "decimal"])
 @pytest.mark.parametrize("probe", sorted(PROBES))
 def test_entry_points_refuse_floats_and_bools(probe, bad):
     with pytest.raises(TypeError):
         PROBES[probe](bad)
+
+
+@pytest.mark.parametrize("bad", ["1/2", "0.1", "3", Decimal("0.1"),
+                                 Decimal(3), True, False, 1.0, None, [1]],
+                         ids=repr)
+def test_the_gate_parses_and_converts_nothing(bad):
+    sig = Signature.make([("x", 1)])
+    ring = projective_space(3)
+    for probe in (poly.coefficient, lambda c: Poly.constant(sig, c),
+                  lambda c: Poly(sig, {(1,): c}), ring.cls, ring.const,
+                  lambda c: ring.var("h") * c, lambda c: ring.one() + c,
+                  lambda c: poly.exact_div(1, c)):
+        with pytest.raises(TypeError):
+            probe(bad)
+
+
+def test_the_gate_admits_ints_and_fractions_in_stored_form():
+    assert poly.coefficient(3) == 3
+    assert type(poly.coefficient(Fraction(6, 2))) is int
+    assert poly.coefficient(Fraction(1, 2)) == Fraction(1, 2)
+    ring = projective_space(3)
+    assert ring.cls(Fraction(1, 2)).rep == Poly.constant(ring.sig,
+                                                         Fraction(1, 2))
 
 
 def test_the_same_entry_points_take_exact_numbers():

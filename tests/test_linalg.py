@@ -91,9 +91,10 @@ def test_det_and_inverse_refuse_non_square_input():
 
 
 def test_mat_refuses_floats_and_bools():
-    assert mat([[1, Fraction(1, 2)], ["3/4", 0]]) == \
+    assert mat([[1, Fraction(1, 2)], [Fraction(3, 4), 0]]) == \
         [[Fraction(1), Fraction(1, 2)], [Fraction(3, 4), Fraction(0)]]
-    for bad in (0.5, True):
+    # the exact gate parses no strings either
+    for bad in (0.5, True, "3/4"):
         with pytest.raises(TypeError):
             mat([[1, bad]])
         with pytest.raises(TypeError):
