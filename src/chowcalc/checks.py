@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence
@@ -67,25 +66,40 @@ class Recorder:
         return False
 
 
-@dataclass(frozen=True)
 class Check:
-    name: str
-    section: str                 # "1".."4" or "all"
-    ref: str                     # one-line statement of the claim
-    slow: bool
-    fn: Callable[[int, Recorder], None]
+    """A registered check: its `section` is "1".."4" or "all", `ref` a
+    one-line statement of the claim, and `fn` the body run with a seed and
+    a Recorder."""
+
+    __slots__ = ("name", "section", "ref", "slow", "fn")
+
+    def __init__(self, name: str, section: str, ref: str, slow: bool,
+                 fn: Callable[[int, Recorder], None]):
+        self.name = name
+        self.section = section
+        self.ref = ref
+        self.slow = slow
+        self.fn = fn
 
 
-@dataclass
 class CheckResult:
-    name: str
-    section: str
-    ref: str
-    slow: bool
-    seed: int
-    passed: bool
-    transcript: List[str]
-    millis: int
+    """One run of a check: its fields, the seed, the verdict, the
+    transcript and the wall time in milliseconds."""
+
+    __slots__ = ("name", "section", "ref", "slow", "seed", "passed",
+                 "transcript", "millis")
+
+    def __init__(self, name: str, section: str, ref: str, slow: bool,
+                 seed: int, passed: bool, transcript: List[str],
+                 millis: int):
+        self.name = name
+        self.section = section
+        self.ref = ref
+        self.slow = slow
+        self.seed = seed
+        self.passed = passed
+        self.transcript = transcript
+        self.millis = millis
 
     @property
     def status(self) -> str:

@@ -2,13 +2,15 @@
 stored like Poly's (poly.coefficient: an int when integral, else a Fraction).
 
 Row reduction (rref, and rank and inverse through it) is the sparse
-elimination that builds Groebner bases, poly._echelon; det keeps its own
-forward elimination for the row-swap sign and the pivot product.
+elimination that builds Groebner bases, poly._echelon.  det is one
+fraction-free Bareiss elimination (Math. Comp. 22, 1968) on the matrix
+with each row scaled to integers, so every step stays in ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import neg
 
 from .poly import _echelon, coefficient, exact_div
@@ -60,22 +62,36 @@ def rank(rows) -> int:
 
 
 def det(rows) -> int | Fraction:
+    """The determinant, by Bareiss elimination: each row is first scaled
+    to integers by the lcm of its denominators, and each step's division
+    by the previous pivot is exact in the integers (Sylvester's identity),
+    so no Fraction is made until one exact_div by the scales at the end.
+    A zero pivot swaps in a later row, flipping the sign."""
     m = _square(rows, "determinant")
+    scale = 1
+    for i, row in enumerate(m):
+        k = lcm(*(x.denominator for x in row if type(x) is Fraction))
+        if k != 1:
+            m[i] = [(x * k).numerator for x in row]
+            scale *= k
     n = len(m)
-    result = 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
+    sign, previous = 1, 1
+    for c in range(n - 1):
+        if not m[c][c]:
+            pivot = next((i for i in range(c + 1, n) if m[i][c]), None)
+            if pivot is None:
+                return 0
             m[c], m[pivot] = m[pivot], m[c]
-            result = -result
-        result *= m[c][c]
+            sign = -sign
+        top = m[c]
+        p = top[c]
         for i in range(c + 1, n):
-            if m[i][c]:
-                f = exact_div(m[i][c], m[c][c])
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return coefficient(result)
+            row = m[i]
+            f = row[c]
+            m[i] = row[:c + 1] + [(p * x - f * y) // previous for x, y in
+                                  zip(row[c + 1:], top[c + 1:])]
+        previous = p
+    return exact_div(sign * m[-1][-1] if n else 1, scale)
 
 
 def inverse(rows):

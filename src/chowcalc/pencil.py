@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -264,12 +263,18 @@ def _rational_projective_root(g: Poly) -> Optional[str]:
     return None
 
 
-@dataclass
 class CertificateResult:
-    ok: bool
-    pfaffian_is_zero: bool
-    gcd: Poly
-    witness: Optional[str] = None
+    """constant_rank_certificate's verdict, the sub-Pfaffian gcd, and a
+    witness line when the certificate fails."""
+
+    __slots__ = ("ok", "pfaffian_is_zero", "gcd", "witness")
+
+    def __init__(self, ok: bool, pfaffian_is_zero: bool, gcd: Poly,
+                 witness: Optional[str] = None):
+        self.ok = ok
+        self.pfaffian_is_zero = pfaffian_is_zero
+        self.gcd = gcd
+        self.witness = witness
 
     def __str__(self):
         if self.ok:
@@ -354,7 +359,6 @@ def interleaved_flattening(p: SkewPencil):
     return m
 
 
-@dataclass
 class Quasimonad:
     """Column space of the flattening with its induced alternating form.
 
@@ -364,10 +368,14 @@ class Quasimonad:
     flattening on the pivot indices.
     """
 
-    pivots: List[int]
-    form: List[List[int]]
-    right: List[List[Poly]]
-    left: List[List[Poly]]
+    __slots__ = ("pivots", "form", "right", "left")
+
+    def __init__(self, pivots: List[int], form: List[List[int]],
+                 right: List[List[Poly]], left: List[List[Poly]]):
+        self.pivots = pivots
+        self.form = form
+        self.right = right
+        self.left = left
 
     @classmethod
     def built_in(cls) -> "Quasimonad":
@@ -421,13 +429,23 @@ class Quasimonad:
 SAMPLES = 8  # seeded points at which quasimonad_checks probes both maps
 
 
-@dataclass
 class QuasimonadReport:
-    composition_zero: bool
-    form_determinant: int | Fraction
-    left_rank_at_e0: int
-    right_generic_rank: int  # the largest right-map rank over the samples
-    sample_ranks: List[Tuple[Tuple[int, ...], int]]  # (point, left rank)
+    """quasimonad_checks' findings: `right_generic_rank` is the largest
+    right-map rank over the samples, `sample_ranks` the (point, left rank)
+    pairs."""
+
+    __slots__ = ("composition_zero", "form_determinant", "left_rank_at_e0",
+                 "right_generic_rank", "sample_ranks")
+
+    def __init__(self, composition_zero: bool,
+                 form_determinant: int | Fraction, left_rank_at_e0: int,
+                 right_generic_rank: int,
+                 sample_ranks: List[Tuple[Tuple[int, ...], int]]):
+        self.composition_zero = composition_zero
+        self.form_determinant = form_determinant
+        self.left_rank_at_e0 = left_rank_at_e0
+        self.right_generic_rank = right_generic_rank
+        self.sample_ranks = sample_ranks
 
 
 def quasimonad_checks(seed: int) -> QuasimonadReport:
@@ -446,11 +464,17 @@ def quasimonad_checks(seed: int) -> QuasimonadReport:
                             generic_right, sample_ranks)
 
 
-@dataclass
 class MinorsLocusReport:
-    status: str  # "cubic", "inconclusive", or "mismatch"
-    hilbert_values: List[int]
-    detail: str = ""
+    """minors_locus_hilbert's `status` ("cubic", "inconclusive" or
+    "mismatch"), the Hilbert values it read, and a detail line."""
+
+    __slots__ = ("status", "hilbert_values", "detail")
+
+    def __init__(self, status: str, hilbert_values: List[int],
+                 detail: str = ""):
+        self.status = status
+        self.hilbert_values = hilbert_values
+        self.detail = detail
 
     @property
     def ok(self) -> bool:
@@ -654,12 +678,21 @@ def rank_one_point():
     return plucker_abxy([e[0], e[4], e[5]])
 
 
-@dataclass
 class CongruenceReport:
-    memberships: List[Tuple[str, bool]]
-    rank_off_section: Optional[int]  # None unless the point has a != 0
-    rank_on_section: Optional[int]   # None unless the point has a = 0
-    point_residuals_ok: bool
+    """congruence_model_check's findings; `rank_off_section` is None
+    unless the point has a != 0, `rank_on_section` None unless it has
+    a = 0."""
+
+    __slots__ = ("memberships", "rank_off_section", "rank_on_section",
+                 "point_residuals_ok")
+
+    def __init__(self, memberships: List[Tuple[str, bool]],
+                 rank_off_section: Optional[int],
+                 rank_on_section: Optional[int], point_residuals_ok: bool):
+        self.memberships = memberships
+        self.rank_off_section = rank_off_section
+        self.rank_on_section = rank_on_section
+        self.point_residuals_ok = point_residuals_ok
 
 
 def congruence_model_check() -> CongruenceReport:

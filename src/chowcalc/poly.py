@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -38,24 +37,47 @@ from typing import Iterator
 Monomial = tuple  # tuple[int, ...], exponents in signature order
 
 
-@dataclass(frozen=True)
 class Signature:
-    """Ordered variable names with positive integer weights."""
+    """Ordered variable names with positive integer weights, never changed
+    once built.  Equal when names and weights are, hashed by both."""
 
-    names: tuple
-    weights: tuple
+    __slots__ = ("names", "weights")
 
-    def __post_init__(self):
-        if len(self.names) != len(self.weights):
+    def __init__(self, names: tuple, weights: tuple):
+        if len(names) != len(weights):
             raise ValueError("names and weights must have equal length")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("duplicate variable name in signature")
-        for name in self.names:
+        for name in names:
             if not _IDENT_RE.fullmatch(name):
                 raise ValueError("invalid variable name: %r" % (name,))
-        for w in self.weights:
+        for w in weights:
             if as_int(w) <= 0:
                 raise ValueError("weights must be positive integers")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "weights", weights)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Signature is never changed once built")
+
+    def __delattr__(self, name):
+        raise AttributeError("a Signature is never changed once built")
+
+    def __reduce__(self):  # copy and pickle rebuild it through __init__
+        return Signature, (self.names, self.weights)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Signature:
+            return NotImplemented
+        return self.names == other.names and self.weights == other.weights
+
+    def __hash__(self):
+        return hash((self.names, self.weights))
+
+    def __repr__(self):
+        return "Signature(names=%r, weights=%r)" % (self.names, self.weights)
 
     @staticmethod
     def make(pairs) -> "Signature":
@@ -538,9 +560,11 @@ def division_table(divisors):
 
 
 _UNSEEN = object()
+_ZERO = object()  # reduce_poly's mark for a monomial whose normal form is 0
 
 
-def reduce_poly(p: Poly, divisors, table=None, found=None) -> Poly:
+def reduce_poly(p: Poly, divisors, table=None, found=None,
+                vanish=None) -> Poly:
     """Full normal form of p modulo the list of divisors.
 
     Every monomial of the result is divisible by no leading monomial of the
@@ -555,6 +579,14 @@ def reduce_poly(p: Poly, divisors, table=None, found=None) -> Poly:
     holds finitely many.  Which divisor cancels a monomial depends only on
     the monomial and the list, so the result is the same with a table and
     a lookup and without them.
+
+    `vanish`, when given, is a weighted degree from which the quotient by
+    the divisors is zero, for a list that is a Groebner basis of a
+    homogeneous ideal (GroebnerBasis.vanish).  A monomial of degree at
+    least `vanish` is then dropped where the lookup misses, undivided, and
+    kept in no lookup: its degree holds no standard monomial, and dividing
+    a monomial by a homogeneous basis only makes monomials of its own
+    degree, so its normal form is 0 and the remainder is the same.
 
     When no monomial of p is reducible, p itself is returned (a Poly is
     never changed once built).  When every divisor is a single term, the
@@ -579,19 +611,25 @@ def reduce_poly(p: Poly, divisors, table=None, found=None) -> Poly:
         found, limit = {}, inf  # this call's own lookup: it keeps everything
     else:
         limit = -1 if bound is None else bound
+    if vanish is None:
+        vanish = inf
     get = found.get
 
     def first(mono):
-        """Position of the first divisor whose lead divides mono, or None."""
+        """Position of the first divisor whose lead divides mono, None when
+        none does, or _ZERO when mono's degree is at least `vanish`."""
         k = get(mono, _UNSEEN)
         if k is not _UNSEEN:
             return k
+        degree = sum(map(mul, weights, mono))
+        if degree >= vanish:
+            return _ZERO
         for k, lead in enumerate(leads):
             if mono_divides(lead, mono):
                 break
         else:
             k = None
-        if sum(map(mul, weights, mono)) <= limit:
+        if degree <= limit:
             found[mono] = k
         return k
 
@@ -622,6 +660,8 @@ def reduce_poly(p: Poly, divisors, table=None, found=None) -> Poly:
             k = first(mono)
         if k is None:
             remainder[mono] = coeff
+            continue
+        if k is _ZERO:
             continue
         lead, lc, terms = rows[k]
         shift = mono_div(mono, lead)
@@ -666,9 +706,16 @@ def groebner_basis(generators):
     monic, sorted by ascending leading monomial.  Generators must be
     weighted homogeneous.
     """
+    return _groebner(generators)[0]
+
+
+def _groebner(generators):
+    """groebner_basis's basis, and the degree at which the run of full
+    degrees that stopped it early starts (None when it ran to Buchberger's
+    criterion): the quotient is zero in that degree and every later one."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
-        return []
+        return [], None
     sig = gens[0].sig
     by_degree = {}
     for g in gens:
@@ -705,9 +752,9 @@ def groebner_basis(generators):
             basis.append(Poly(sig, pivots[lead]))
         full = full + 1 if len(pivots) == len(order) else 0
         if d >= last and full >= width:
-            break
+            return basis, d - full + 1
         d += 1
-    return basis
+    return basis, None
 
 
 def _echelon(rows, key):
@@ -772,11 +819,20 @@ class GroebnerBasis:
         the tautological relation, extended one power at a time.
     It reads no division table: `table` is built only when asked for.
 
+    A presented basis also records `vanish`, a weighted degree from which
+    its quotient is zero: where the run of full degrees that stopped
+    groebner_basis early starts (B 5, G26 9, P5 6); failing that, the
+    table's pure-power bound + 1, past which a lead divides every monomial
+    (Gw36 7, P1^4 5); else None, and always None for a derived basis.
+    reduce_poly drops each monomial of degree at least `vanish` undivided,
+    and neither `found` nor `forms` keeps one.
+
     Both kinds keep `forms`: monomial -> the terms of its normal form, or
     None when it is standard.  `limit` bounds the weighted degree of what
     is kept: the ring's dimension for a derived basis, the table's
-    pure-power bound for a presented one (nothing when there is none,
-    the same rule as `found`), so each holds finitely many monomials.
+    pure-power bound for a presented one, and below `vanish` (nothing when
+    there is no bound, the same rule as `found`), so each holds finitely
+    many monomials.
     """
 
     def __init__(self, generators, precomputed: bool = False):
@@ -784,7 +840,12 @@ class GroebnerBasis:
         if not gens:
             raise ValueError("need at least one nonzero generator")
         self.sig = gens[0].sig
-        self.elements = list(gens) if precomputed else groebner_basis(gens)
+        if precomputed:
+            self.elements, self.vanish = list(gens), None
+        else:
+            self.elements, self.vanish = _groebner(gens)
+            if self.vanish is None and self.table[2] is not None:
+                self.vanish = self.table[2] + 1
         self.leads = [g.leading_monomial() for g in self.elements]
         self.found = {}
         self.forms = {}
@@ -812,7 +873,9 @@ class GroebnerBasis:
     def limit(self):
         """Largest weighted degree kept in `forms`; see the class docstring."""
         bound = self.table[2]
-        return -1 if bound is None else bound
+        if bound is None:
+            return -1
+        return bound if self.vanish is None else min(bound, self.vanish - 1)
 
     def normal_form(self, p: Poly) -> Poly:
         """p reduced modulo the basis; p itself when it is standard.  A
@@ -820,7 +883,8 @@ class GroebnerBasis:
         if p.sig != self.sig:
             raise ValueError("polynomial signature does not match basis")
         if self.rule is None:
-            return reduce_poly(p, self.elements, self.table, self.found)
+            return reduce_poly(p, self.elements, self.table, self.found,
+                               self.vanish)
         get, form = self.forms.get, self.form
         forms = []
         for m in p.terms:
@@ -845,7 +909,8 @@ class GroebnerBasis:
             return f
         if self.rule is None:
             p = Poly(self.sig, {mono: 1})
-            nf = reduce_poly(p, self.elements, self.table, self.found)
+            nf = reduce_poly(p, self.elements, self.table, self.found,
+                             self.vanish)
             f = None if nf is p else nf.terms
         else:
             f = self.rule(mono)

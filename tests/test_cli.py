@@ -180,3 +180,15 @@ class TestParser:
             main([])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    """A fresh process pays for neither at start-up: every record type is
+    a plain __slots__ class."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(chowcalc.__file__)))
+    probe = ("import sys, chowcalc.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

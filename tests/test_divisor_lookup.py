@@ -1,13 +1,16 @@
 """A warm basis decides each monomial once.
 
-Each `GroebnerBasis` keeps `found`, reduce_poly's lookup from a monomial to
-the position of the first element whose lead divides it (or None), for
-monomials of weighted degree at most its table's pure-power bound; a basis
-without a pure power of every variable records nothing.  The lookup must
-change no remainder, on a basis or on a raw relation list; a standard
-input comes back as the same object; a second normal form of the same
-input reads only the lookup; and `ChowRing.var` builds each variable's
-class once.
+Each presented `GroebnerBasis` keeps `found`, reduce_poly's lookup from a
+monomial to the position of the first element whose lead divides it (or
+None), for monomials of weighted degree at most its table's pure-power
+bound and below its vanishing degree; a basis without a pure power of
+every variable records nothing.  A derived basis divides nothing and
+leaves `found` empty (tests/test_derived_forms.py checks its memos), so
+the lookup tests run on presented bases only: on a derived ring, on the
+presented basis of its relations.  The lookup must change no remainder,
+on a basis or on a raw relation list; a standard input comes back as the
+same object; a second normal form of the same input reads only the
+lookup; and `ChowRing.var` builds each variable's class once.
 """
 
 import functools
@@ -15,7 +18,8 @@ import functools
 import pytest
 
 from chowcalc import poly
-from chowcalc.poly import Poly, division_table, reduce_poly
+from chowcalc.poly import GroebnerBasis, Poly, division_table, reduce_poly
+from chowcalc.rings import ChowRing
 from chowcalc.rings import catalog
 
 from reference_groebner import divide
@@ -36,6 +40,14 @@ def relations_of(name):
     examples, as a basis keeps its own."""
     relations = ring_of(name).relations
     return relations, division_table(relations), {}
+
+
+@functools.lru_cache(maxsize=None)
+def presented_basis(name):
+    """The ring's basis when it is presented, else a presented basis of
+    its relations (the same reduced basis, computed and divided by)."""
+    gb = ring_of(name).gb
+    return gb if gb.rule is None else GroebnerBasis(ring_of(name).relations)
 
 
 @pytest.mark.parametrize("name", list(BUILDERS))
@@ -61,7 +73,8 @@ def test_warm_normal_form_is_the_division_remainder(data, name):
 @given(data=st.data())
 def test_lookup_holds_first_divisors_up_to_the_bound(data, name):
     ring = ring_of(name)
-    gb = ring.gb
+    gb = presented_basis(name)
+    assert gb.rule is None and gb.elements == ring.gb.elements
     gb.normal_form(data.draw(raw_poly(name)))
     leads, _, bound = gb.table
     if bound is None:
@@ -69,6 +82,7 @@ def test_lookup_holds_first_divisors_up_to_the_bound(data, name):
         return
     for mono, k in gb.found.items():
         assert weighted_degree(ring.sig, mono) <= bound
+        assert weighted_degree(ring.sig, mono) < gb.vanish
         divisors = [i for i, lead in enumerate(leads)
                     if poly.mono_divides(lead, mono)]
         assert k == (divisors[0] if divisors else None)
@@ -92,7 +106,11 @@ def test_every_monomial_above_the_bound_is_reducible(name):
 
 
 def test_a_blowup_records_nothing():
-    ring = ring_of("Bl P1^3")
+    # the blow-up's relations as a presented ring: e has no pure power
+    blowup = ring_of("Bl P1^3")
+    ring = ChowRing("Bl P1^3, presented", blowup.sig, blowup.relations, 3,
+                    top=blowup.top)
+    assert ring.gb.rule is None and ring.gb.table[2] is None
     x = sum((ring.var(v) for v in ring.sig.names), ring.zero())
     for n in range(1, 5):
         x ** n
@@ -119,8 +137,8 @@ def test_a_second_warm_normal_form_scans_no_lead(monkeypatch):
     gb = ring.gb
     # the rows are read only when some element has several terms
     assert any(len(g.terms) > 1 for g in gb)
-    p = ring.parse("(h_3 + a_1 + 2*a_2 - a_3 + a_4)^2").rep
-    p = p * p
+    # degrees 2 to 4, below B's vanishing degree 5, so some term divides
+    p = poly.parse_poly("(h_3 + a_1 + 2*a_2 - a_3 + a_4)^2", ring.sig)
     calls = []
 
     def counting(a, b):

@@ -1,5 +1,7 @@
 """Parser, arithmetic, and Groebner machinery of the polynomial core."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -128,6 +130,35 @@ class TestSignature:
     def test_nonpositive_weights_are_refused(self):
         with pytest.raises(ValueError):
             Signature(("x",), (0,))
+
+    @pytest.mark.parametrize("names, weights", [
+        (("x", "y"), (1,)), (("x", "x"), (1, 1)), (("2x",), (1,))])
+    def test_malformed_names_are_refused(self, names, weights):
+        with pytest.raises(ValueError):
+            Signature(names, weights)
+
+    def test_a_signature_is_never_changed(self):
+        sig = Signature(("x",), (1,))
+        with pytest.raises(AttributeError):
+            sig.names = ("y",)
+        with pytest.raises(AttributeError):
+            del sig.weights
+        with pytest.raises(AttributeError):
+            sig.extra = 1
+        assert sig.names == ("x",) and sig.weights == (1,)
+
+    def test_equality_hash_and_repr_follow_names_and_weights(self):
+        a, b = Signature(("h", "c"), (1, 2)), Signature(("h", "c"), (1, 2))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != Signature(("h", "c"), (1, 3))
+        assert a != Signature(("c", "h"), (2, 1))
+        assert a != ("h", "c") and a != None  # noqa: E711
+        assert repr(a) == "Signature(names=('h', 'c'), weights=(1, 2))"
+
+    def test_copy_and_pickle_rebuild_an_equal_signature(self):
+        copies = [copy.copy(WEIGHTED), copy.deepcopy(WEIGHTED),
+                  pickle.loads(pickle.dumps(WEIGHTED))]
+        assert all(type(c) is Signature and c == WEIGHTED for c in copies)
 
 
 class TestOrder:
