@@ -30,7 +30,6 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from math import inf
 from operator import add, le, mul, neg, sub
 from typing import Iterator
 
@@ -531,7 +530,7 @@ def _parse_atom(toks: _Tokens, sig: Signature) -> Poly:
 
 
 def division_table(divisors):
-    """What reduce_poly reads of a list of divisors: (leads, rows, bound).
+    """A list of divisors as reduce_poly reads it: (leads, rows, bound).
 
     `leads` are the leading monomials of the nonzero divisors, in the order
     of the list.  `rows` is None when every nonzero divisor is a single term,
@@ -539,7 +538,8 @@ def division_table(divisors):
     `bound` is sum((k_i - 1) * w_i) when every variable x_i has a pure power
     x_i^k_i among the leads (k_i the least such), else None: every monomial
     of a larger weighted degree has some exponent e_i >= k_i, so a lead
-    divides it.  A basis builds the table once.
+    divides it (GroebnerBasis reads it for `vanish`).  A basis builds the
+    table once.
     """
     divisors = [d for d in divisors if not d.is_zero()]
     leads = [d.leading_monomial() for d in divisors]
@@ -560,33 +560,18 @@ def division_table(divisors):
 
 
 _UNSEEN = object()
-_ZERO = object()  # reduce_poly's mark for a monomial whose normal form is 0
 
 
-def reduce_poly(p: Poly, divisors, table=None, found=None,
-                vanish=None) -> Poly:
+def reduce_poly(p: Poly, divisors, table=None) -> Poly:
     """Full normal form of p modulo the list of divisors.
 
     Every monomial of the result is divisible by no leading monomial of the
     divisors.  Deterministic: always cancels the largest reducible monomial,
     by the first divisor whose lead divides it.  `table`, when given, is
     division_table(divisors), which a fixed basis builds once instead of
-    once per call.  `found`, when given, is a dict that belongs to this one
-    list of divisors and outlives the call: it maps a monomial to the
-    position of the first divisor whose lead divides it, or to None, and is
-    filled the first time a monomial is met, for monomials of weighted
-    degree at most the table's bound (none when the bound is None), so it
-    holds finitely many.  Which divisor cancels a monomial depends only on
-    the monomial and the list, so the result is the same with a table and
-    a lookup and without them.
-
-    `vanish`, when given, is a weighted degree from which the quotient by
-    the divisors is zero, for a list that is a Groebner basis of a
-    homogeneous ideal (GroebnerBasis.vanish).  A monomial of degree at
-    least `vanish` is then dropped where the lookup misses, undivided, and
-    kept in no lookup: its degree holds no standard monomial, and dividing
-    a monomial by a homogeneous basis only makes monomials of its own
-    degree, so its normal form is 0 and the remainder is the same.
+    once per call.  Within one call, the first divisor of each monomial is
+    looked up once; nothing is kept across calls (a GroebnerBasis keeps
+    each monomial's normal form instead).
 
     When no monomial of p is reducible, p itself is returned (a Poly is
     never changed once built).  When every divisor is a single term, the
@@ -604,33 +589,21 @@ def reduce_poly(p: Poly, divisors, table=None, found=None,
     back, and a monomial whose pending coefficient cancels to 0 stays in
     both until popped.
     """
-    leads, rows, bound = division_table(divisors) if table is None else table
+    leads, rows, _ = division_table(divisors) if table is None else table
     sig = p.sig
     weights = sig.weights
-    if found is None:
-        found, limit = {}, inf  # this call's own lookup: it keeps everything
-    else:
-        limit = -1 if bound is None else bound
-    if vanish is None:
-        vanish = inf
+    found = {}
     get = found.get
 
     def first(mono):
-        """Position of the first divisor whose lead divides mono, None when
-        none does, or _ZERO when mono's degree is at least `vanish`."""
-        k = get(mono, _UNSEEN)
-        if k is not _UNSEEN:
-            return k
-        degree = sum(map(mul, weights, mono))
-        if degree >= vanish:
-            return _ZERO
+        """Position of the first divisor whose lead divides mono, or None
+        when none does."""
         for k, lead in enumerate(leads):
             if mono_divides(lead, mono):
                 break
         else:
             k = None
-        if degree <= limit:
-            found[mono] = k
+        found[mono] = k
         return k
 
     # a Poly has no zero coefficient, so p is standard when no term reduces;
@@ -660,8 +633,6 @@ def reduce_poly(p: Poly, divisors, table=None, found=None,
             k = first(mono)
         if k is None:
             remainder[mono] = coeff
-            continue
-        if k is _ZERO:
             continue
         lead, lc, terms = rows[k]
         shift = mono_div(mono, lead)
@@ -799,40 +770,37 @@ def _axpy(row, factor, other):
 class GroebnerBasis:
     """A reduced Groebner basis with normal-form and Hilbert services.
 
-    The normal form of a polynomial modulo a Groebner basis is unique, so
-    it may be found in two ways, and `normal_form` is the one entry point
-    for both.  A presented basis divides: reduce_poly runs with the
-    division table `table`, built once, and the lookup `found` (monomial
-    -> position of the first element whose lead divides it, or None), kept
-    across normal forms up to the table's pure-power bound, so a warm basis
-    decides each monomial once.
+    The normal form of a polynomial modulo a Groebner basis is unique and
+    linear, so `normal_form` sums the normal forms of p's monomials, and
+    `form` finds each monomial's by the basis' `rule`: monomial -> the terms
+    of its normal form, or None when it is standard.  Both kinds of basis
+    keep these in `forms`, for monomials of weighted degree at most
+    `limit`, so a warm basis finds each kept monomial's form once.
+
+    A presented basis's rule is its own `_divide`: reduce_poly of the one
+    monomial, with the division table `table`, built once.  It also
+    records `vanish`, a weighted degree from which its quotient is zero:
+    where the run of full degrees that stopped groebner_basis early starts
+    (B 5, G26 9, P5 6); failing that, the table's pure-power bound + 1,
+    past which a lead divides every monomial (Gw36 7, P1^4 5); else None.
+    A monomial of degree at least `vanish` has form {}, since its degree
+    holds no standard monomial and division by a homogeneous basis stays
+    in one degree; it is neither divided nor kept.  Every degree above the
+    pure-power bound is zero, so vanish - 1 is at most that bound, and
+    `limit` is vanish - 1 (-1, so nothing is kept, when `vanish` is None).
 
     A derived basis (made by `derived`: a product's, a projective bundle's
-    or a blow-up's, in rings.py) divides nothing.  Its `rule` gives the
+    or a blow-up's, in rings.py) divides nothing.  Its rule gives the
     normal form of one monomial from the normal forms of the ring it is
-    built on, and a normal form is the sum of its monomials' forms:
+    built on:
       - blow-up: NF(m e^k) = NF_base(m) e^k, since no lead involves e;
       - product: NF(m_a m_b) = NF_A(m_a) NF_B(m_b), since each lead lies
         in one factor's variables;
       - projective bundle of rank r: NF(zeta^k m) = sum over j < r of
         zeta^j NF_base(s_kj m), where zeta^k = sum_j zeta^j s_kj modulo
         the tautological relation, extended one power at a time.
-    It reads no division table: `table` is built only when asked for.
-
-    A presented basis also records `vanish`, a weighted degree from which
-    its quotient is zero: where the run of full degrees that stopped
-    groebner_basis early starts (B 5, G26 9, P5 6); failing that, the
-    table's pure-power bound + 1, past which a lead divides every monomial
-    (Gw36 7, P1^4 5); else None, and always None for a derived basis.
-    reduce_poly drops each monomial of degree at least `vanish` undivided,
-    and neither `found` nor `forms` keeps one.
-
-    Both kinds keep `forms`: monomial -> the terms of its normal form, or
-    None when it is standard.  `limit` bounds the weighted degree of what
-    is kept: the ring's dimension for a derived basis, the table's
-    pure-power bound for a presented one, and below `vanish` (nothing when
-    there is no bound, the same rule as `found`), so each holds finitely
-    many monomials.
+    Its `limit` is the ring's dimension and its `vanish` None, and it reads
+    no division table: `table` is built only when asked for.
     """
 
     def __init__(self, generators, precomputed: bool = False):
@@ -847,9 +815,9 @@ class GroebnerBasis:
             if self.vanish is None and self.table[2] is not None:
                 self.vanish = self.table[2] + 1
         self.leads = [g.leading_monomial() for g in self.elements]
-        self.found = {}
         self.forms = {}
-        self.rule = None
+        self.rule = self._divide
+        self.limit = -1 if self.vanish is None else self.vanish - 1
 
     @classmethod
     def derived(cls, elements, rule, limit: int) -> "GroebnerBasis":
@@ -869,22 +837,17 @@ class GroebnerBasis:
         """reduce_poly's division table for the elements, built once."""
         return division_table(self.elements)
 
-    @cached_property
-    def limit(self):
-        """Largest weighted degree kept in `forms`; see the class docstring."""
-        bound = self.table[2]
-        if bound is None:
-            return -1
-        return bound if self.vanish is None else min(bound, self.vanish - 1)
+    def _divide(self, mono: Monomial):
+        """A presented basis's rule: mono's form by division."""
+        p = Poly(self.sig, {mono: 1})
+        nf = reduce_poly(p, self.elements, self.table)
+        return None if nf is p else nf.terms
 
     def normal_form(self, p: Poly) -> Poly:
-        """p reduced modulo the basis; p itself when it is standard.  A
-        derived basis sums the forms of p's monomials."""
+        """p reduced modulo the basis, the sum of its monomials' forms; p
+        itself when it is standard."""
         if p.sig != self.sig:
             raise ValueError("polynomial signature does not match basis")
-        if self.rule is None:
-            return reduce_poly(p, self.elements, self.table, self.found,
-                               self.vanish)
         get, form = self.forms.get, self.form
         forms = []
         for m in p.terms:
@@ -903,18 +866,15 @@ class GroebnerBasis:
 
     def form(self, mono: Monomial):
         """The terms of mono's normal form, or None when mono is standard;
-        kept in `forms` when mono's weighted degree is at most `limit`."""
+        {} from `vanish` on, and kept in `forms` up to `limit`."""
         f = self.forms.get(mono, _UNSEEN)
         if f is not _UNSEEN:
             return f
-        if self.rule is None:
-            p = Poly(self.sig, {mono: 1})
-            nf = reduce_poly(p, self.elements, self.table, self.found,
-                             self.vanish)
-            f = None if nf is p else nf.terms
-        else:
-            f = self.rule(mono)
-        if sum(map(mul, self.sig.weights, mono)) <= self.limit:
+        degree = sum(map(mul, self.sig.weights, mono))
+        if self.vanish is not None and degree >= self.vanish:
+            return {}
+        f = self.rule(mono)
+        if degree <= self.limit:
             self.forms[mono] = f
         return f
 

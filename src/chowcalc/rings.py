@@ -29,8 +29,8 @@ ring's basis' (poly.GroebnerBasis), and it returns a polynomial that is
 already standard as it is.
 
 Presented rings compute their reduced basis degree by degree
-(poly.groebner_basis) and divide by it, deciding once per monomial which
-relation cancels it.  Derived rings run neither computation nor
+(poly.groebner_basis) and find each monomial's normal form by dividing it
+by that basis, once.  Derived rings run neither computation nor
 division.  Their basis is the lifted reduced bases of their factors or
 base, plus a bundle's tautological relation, whose lead zeta^r is coprime
 to every base lead; _lifted keeps the lifted relations and basis on the
@@ -45,10 +45,10 @@ gives the division's remainder):
     relation.
 A derived basis keeps these forms in its memo for monomials of weighted
 degree at most the ring's dimension, and a presented basis keeps its own
-monomials' forms up to its pure-power bound.  A blow-up's basis depends on
-its base alone and a product's on its two factors, so each is built once
-and kept on the base (or first factor), one per signature and dimension,
-with its memo.
+monomials' forms below the degree where its quotient vanishes.  A
+blow-up's basis depends on its base alone and a product's on its two
+factors, so each is built once and kept on the base (or first factor),
+one per signature and dimension, with its memo.
 One embedding, _lift, moves a Poly into a derived ring's variables: the
 base's (or a factor's) variables sit at a fixed offset in the new
 signature, and the exponent tuples are padded with zeros on both sides

@@ -1,15 +1,17 @@
-"""Derived rings reduce through the ring they are built on.
+"""Every basis sums per-monomial forms; derived rings reduce through the
+ring they are built on.
 
 A product's, a projective bundle's or a blow-up's basis finds the normal
-form of each monomial from its base's normal forms, with no division loop
-(see `poly.GroebnerBasis`).  The normal form modulo a Groebner basis is
-unique, so on every derived ring, nested ones included, it must equal the
-textbook division remainder modulo the ring's lifted basis, also for
-monomials above the ring's dimension, where nothing is kept.  A standard
-input comes back as the same object; every `forms` memo holds only
-monomials up to its bound, and only their true normal forms; a derived
-basis builds no division table; and a base without an integration rule is
-refused before any ring is built.
+form of each monomial from its base's normal forms, with no division loop;
+a presented basis divides one monomial at a time (see
+`poly.GroebnerBasis`).  The normal form modulo a Groebner basis is unique,
+so on every derived ring, nested ones included, on every presented catalog
+ring and on the minors ideal of `cubic-locus`, it must equal the textbook
+division remainder modulo the basis, also for monomials above the ring's
+dimension, where nothing is kept.  A standard input comes back as the same
+object; every `forms` memo holds only monomials up to its bound, and only
+their true normal forms; a derived basis builds no division table; and a
+base without an integration rule is refused before any ring is built.
 """
 
 import functools
@@ -18,7 +20,8 @@ from fractions import Fraction
 
 import pytest
 
-from chowcalc.poly import Poly, Signature, reduce_poly
+from chowcalc.pencil import Quasimonad
+from chowcalc.poly import GroebnerBasis, Poly, Signature, reduce_poly
 from chowcalc.rings import (ChowRing, blowup_threefold_along_curve, catalog,
                             presented, product_ring, projective_bundle,
                             projective_space)
@@ -104,12 +107,26 @@ BUILDERS = {
     "Proj over Bl P1^3": _bundle_over_a_blowup,
     "Bl P1^3 as a product": _blowup_of_a_product,
     "Bl Q3": _blowup_of_a_quadric,
+    **{name: functools.partial(catalog, name)
+       for name in ("P5", "P1^3", "P1^4", "G26", "Gw36", "B")},
 }
 
 
 @functools.lru_cache(maxsize=None)
 def ring_of(name):
     return BUILDERS[name]()
+
+
+@functools.lru_cache(maxsize=None)
+def basis_of(name):
+    """The basis and raw_poly's cap on each variable's own degree: two
+    past the ring's dimension, or 2 on the minors ideal, whose quotient
+    (a curve) vanishes in no degree."""
+    if name == "minors":
+        gens = Quasimonad.built_in().minor_ideal_generators()
+        return GroebnerBasis(gens), 2
+    ring = ring_of(name)
+    return ring.gb, ring.dim + 2
 
 
 coefficients = st.one_of(
@@ -122,41 +139,40 @@ def raw_poly(draw, name):
     """An unreduced Poly of mixed degree: each variable's own degree runs
     to two past the ring's dimension, so some monomials lie above it,
     where no memo keeps anything."""
-    ring = ring_of(name)
+    gb, cap = basis_of(name)
     terms = {}
     for _ in range(draw(st.integers(0, 6))):
-        mono = tuple(draw(st.integers(0, (ring.dim + 2) // w))
-                     for w in ring.sig.weights)
+        mono = tuple(draw(st.integers(0, cap // w)) for w in gb.sig.weights)
         terms[mono] = draw(coefficients)
-    return Poly(ring.sig, terms)
+    return Poly(gb.sig, terms)
 
 
 def weighted_degree(sig, mono):
     return sum(w * e for w, e in zip(sig.weights, mono))
 
 
-@pytest.mark.parametrize("name", list(BUILDERS))
+@pytest.mark.parametrize("name", list(BUILDERS) + ["minors"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_normal_form_is_the_division_remainder(data, name):
-    ring = ring_of(name)
+    gb = basis_of(name)[0]
     p = data.draw(raw_poly(name))
-    nf = ring.normal_form(p)
-    assert nf == divide(p, ring.gb.elements)
-    assert nf == reduce_poly(p, ring.gb.elements)
+    nf = gb.normal_form(p)
+    assert nf == divide(p, gb.elements)
+    assert nf == reduce_poly(p, gb.elements)
     # a second time, through warm memos, gives the same answer
-    assert ring.normal_form(p) == nf
+    assert gb.normal_form(p) == nf
 
 
-@pytest.mark.parametrize("name", list(BUILDERS))
+@pytest.mark.parametrize("name", list(BUILDERS) + ["minors"])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_a_standard_input_comes_back_as_it_is(data, name):
-    ring = ring_of(name)
-    standard = ring.normal_form(data.draw(raw_poly(name)))
-    assert ring.normal_form(standard) is standard
-    x = ring.cls(standard)
-    assert x.rep is standard
+    gb = basis_of(name)[0]
+    standard = gb.normal_form(data.draw(raw_poly(name)))
+    assert gb.normal_form(standard) is standard
+    if name in BUILDERS:
+        assert ring_of(name).cls(standard).rep is standard
 
 
 @pytest.mark.parametrize("name", ["Proj over G26", "Proj over P1 x P2",
@@ -193,13 +209,15 @@ def stream(ring, rng, count=40):
         ring.integrate(y.rep.homogeneous_part(ring.dim))
 
 
+def is_presented(gb):
+    """A presented basis divides: its rule is its own division."""
+    return gb.rule == gb._divide
+
+
 def assert_memo_within_bound(gb):
-    if gb.rule is None:
-        bound = gb.table[2]
-        # a presented basis with a pure-power bound has a vanishing degree
-        assert gb.limit == (-1 if bound is None
-                            else min(bound, gb.vanish - 1))
-        if bound is None:
+    if is_presented(gb):
+        assert gb.limit == (-1 if gb.vanish is None else gb.vanish - 1)
+        if gb.vanish is None:
             assert gb.forms == {}
     for mono, form in gb.forms.items():
         assert weighted_degree(gb.sig, mono) <= gb.limit
@@ -221,7 +239,7 @@ def test_every_memo_stays_within_its_bound(name):
         assert_memo_within_bound(r.gb)
         if r.base is not None:
             seen.append(r.base)
-    if ring.gb.rule is not None:
+    if not is_presented(ring.gb):
         assert ring.gb.limit == ring.dim
         assert ring.gb.forms
         assert all(weighted_degree(ring.sig, m) <= ring.dim
@@ -245,7 +263,7 @@ def test_a_derived_basis_builds_no_division_table():
     ring = projective_bundle(g, [g.parse("h_2"), g.parse("c_2")], "y")
     stream(ring, random.Random(3), count=10)
     assert "table" not in ring.gb.__dict__
-    assert ring.gb.found == {}
+    assert not is_presented(ring.gb)
     # built when asked for, and the same table division would build
     assert ring.gb.table[0] == ring.gb.leads
 

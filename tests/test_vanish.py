@@ -4,20 +4,23 @@
 zero: where the run of full degrees that stopped groebner_basis early
 starts (the least such degree), else the table's pure-power bound + 1,
 else None; a derived basis divides nothing and records None.  It is
-pinned for each catalog ring and checked against the Hilbert function.
-reduce_poly drops a monomial of degree at least `vanish` undivided, so
-the normal form must still equal the reference division on inputs of any
-degree, an input at or above `vanish` reads no lead even on a fresh
-basis, and neither memo keeps such a monomial.
+pinned for each catalog ring and checked against the Hilbert function,
+with the memo bound `limit`, vanish - 1, which is at most the pure-power
+bound.  A monomial of degree at least `vanish` has form {} and is neither
+divided nor kept, so the normal form must still equal the reference
+division on inputs of any degree, an input at or above `vanish` reaches
+no division (and reads no lead) even on a fresh basis, and the memo keeps
+no such monomial, also after a full in-process run of every check.
 """
 
 import pytest
 
-from chowcalc import poly
+from chowcalc import checks, poly
 from chowcalc.poly import GroebnerBasis, Poly, reduce_poly
 from chowcalc.rings import catalog
 
 from reference_groebner import divide
+from test_derived_forms import is_presented
 from test_linear_ops import scalars
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -39,10 +42,12 @@ def test_vanish_of_the_presented_catalog(name):
     ring = catalog(name)
     gb = ring.gb
     vanish, stop = VANISH[name]
-    assert gb.rule is None and gb.vanish == vanish
+    assert is_presented(gb) and gb.vanish == vanish
     assert poly._groebner(ring.relations) == (gb.elements, stop)
     if stop is None:
         assert gb.vanish == gb.table[2] + 1
+    # FB holds P1^4's basis, so its bound is P1^4's 4, not its dimension 3
+    assert gb.limit == vanish - 1 <= gb.table[2]
     hilbert = gb.hilbert_function(vanish + max(ring.sig.weights) - 1)
     assert hilbert[vanish - 1] != 0
     assert hilbert[vanish:] == [0] * max(ring.sig.weights)
@@ -75,7 +80,7 @@ def test_normal_form_past_vanish_is_the_division_remainder(data, name):
     p = data.draw(past_vanish(name))
     want = divide(p, gb.elements)
     assert gb.normal_form(p) == want == reduce_poly(p, gb.elements)
-    for mono in list(gb.found) + list(gb.forms):
+    for mono in gb.forms:
         assert weighted_degree(gb.sig, mono) < gb.vanish
 
 
@@ -95,9 +100,24 @@ def test_an_input_past_vanish_reads_no_lead_on_a_fresh_basis(name,
         calls.append(b)
         return all(x <= y for x, y in zip(a, b))
 
+    def dividing(*args):
+        calls.append(args)
+        return reduce_poly(*args)
+
     monkeypatch.setattr(poly, "mono_divides", counting)
+    monkeypatch.setattr(poly, "reduce_poly", dividing)
     assert gb.normal_form(p) == Poly.zero(sig)
     for mono in p.terms:
         assert gb.form(mono) == {}
     assert calls == []
-    assert gb.found == {} and gb.forms == {}
+    assert gb.forms == {}
+
+
+def test_a_full_run_keeps_forms_only_below_vanish():
+    for check in checks.select_checks(include_slow=True):
+        assert checks.run_check(check).passed, check.name
+    for name in VANISH:
+        gb = catalog(name).gb
+        assert all(weighted_degree(gb.sig, mono) < gb.vanish
+                   for mono in gb.forms)
+    assert catalog("B").gb.forms
