@@ -628,19 +628,20 @@ SUITE_SIZE = 200
 
 
 def _random_poly(rng: random.Random, sig: Signature, max_deg: int = 3) -> Poly:
-    """A sum of 1-4 random terms, each a coefficient times up to max_deg
+    """A sum of 1-4 random terms, each a coefficient n/d times up to max_deg
     variables drawn with repetition; each term is built as an exponent
-    tuple (rng.choice of a range draws as rng.choice of the names does)."""
+    tuple (rng.choice of a range draws as rng.choice of the names does),
+    and n/d as the numerator 12n/d over 12 = lcm(1, 2, 3, 4)."""
     terms = {}
     positions = range(len(sig))
     for _ in range(rng.randint(1, 4)):
-        c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        n, d = rng.randint(-9, 9), rng.randint(1, 4)
         exponents = [0] * len(sig)
         for _ in range(rng.randint(0, max_deg)):
             exponents[rng.choice(positions)] += 1
         mono = tuple(exponents)
-        terms[mono] = terms.get(mono, 0) + c
-    return Poly(sig, terms)
+        terms[mono] = terms.get(mono, 0) + n * (12 // d)
+    return Poly(sig, {m: c for m, c in terms.items() if c}, 12)
 
 
 def _suite_ring_axioms(rng: random.Random) -> int:

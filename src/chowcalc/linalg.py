@@ -1,10 +1,12 @@
 """Small dense exact linear algebra over Q: lists of lists of coefficients,
 stored like Poly's (poly.coefficient: an int when integral, else a Fraction).
 
-Row reduction (rref, and rank and inverse through it) is the sparse
-elimination that builds Groebner bases, poly._echelon.  det is one
-fraction-free Bareiss elimination (Math. Comp. 22, 1968) on the matrix
-with each row scaled to integers, so every step stays in ints.
+Each row is first scaled to integers by the lcm of its denominators, so
+every step of elimination stays in ints.  Row reduction (rref, and rank
+and inverse through it) is the sparse fraction-free elimination that
+builds Groebner bases, poly._echelon, with one exact_div per entry of the
+result.  det is one fraction-free Bareiss elimination (Math. Comp. 22,
+1968).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 from operator import neg
 
-from .poly import _echelon, coefficient, exact_div
+from .poly import _cleared, _echelon, coefficient, exact_div
 
 
 def mat(rows):
@@ -43,16 +45,15 @@ def identity(n):
 def rref(rows):
     """Reduced row echelon form; returns (rref matrix, pivot column list).
 
-    Rows go to poly._echelon as sparse {column: value} dicts, each pivot
+    Rows go to poly._echelon as sparse {column: integer} dicts, each pivot
     being the row's leftmost nonzero column.
     """
     m = mat(rows)
     ncols = len(m[0]) if m else 0
-    echelon = _echelon([{c: x for c, x in enumerate(row) if x} for row in m],
-                       neg)
+    echelon = _echelon([_cleared(dict(enumerate(row)))[0] for row in m], neg)
     pivots = sorted(echelon)
-    out = [[echelon[p].get(c, 0) for c in range(ncols)]
-           for p in pivots]
+    out = [[exact_div(echelon[p].get(c, 0), echelon[p][p])
+            for c in range(ncols)] for p in pivots]
     out += [[0] * ncols for _ in range(len(m) - len(pivots))]
     return out, pivots
 

@@ -3,9 +3,17 @@
 Monomial order is graded reverse lexicographic, where "graded" means the
 weighted degree (each variable carries a positive integer weight).
 
-Coefficients are exact rationals stored integer-first: an `int` when the
-value is integral and a `fractions.Fraction` only when it is not, so that
-most arithmetic runs on ints rather than Fractions.
+A Poly stores its coefficients as integer numerators over one positive
+denominator (the content/primitive-part form of FLINT's fmpq_poly),
+normalized so that no factor is common to the denominator and every
+numerator.  Equal polynomials then have equal pairs, so equality and
+hashing stay structural, and sums, products and normal forms run on ints:
+a product multiplies the denominators and divides out one gcd, where a
+Fraction per term would take a gcd per term.  The `terms` view gives each
+coefficient in stored form: an `int` when it is integral and a
+`fractions.Fraction` (whose denominator is then not 1) when it is not.
+Sparse row reduction (`_echelon`, for Groebner bases and linalg) is
+fraction-free on integer rows in the same way.
 
 One gate for exact numbers, for the whole package: every number that enters
 it (a coefficient, a matrix entry, a point to evaluate at) passes through
@@ -17,9 +25,9 @@ number, and `int / int` never makes one.  tests/test_exactness_lint.py
 holds the rest of src/ to this.
 
 A `Poly` is never changed once built (by convention: nothing writes to its
-terms after `__init__`), so it finds its leading term once, on the first
-`leading_term()` call, and keeps it: a normal form modulo a fixed basis
-reads each divisor's lead without re-scanning its terms.
+numerators or terms after `__init__`), so it finds its leading term once,
+on the first `leading_term()` call, and keeps it: a normal form modulo a
+fixed basis reads each divisor's lead without re-scanning its terms.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import add, le, mul, neg, sub
 from typing import Iterator
 
@@ -161,32 +170,50 @@ def grevlex_key(sig: Signature, mono: Monomial):
 
 
 class Poly:
-    """Sparse polynomial attached to a Signature, never changed once built."""
+    """Sparse polynomial attached to a Signature, never changed once built:
+    integer numerators `num` ({monomial: nonzero int}) over one denominator
+    `den` > 0, with no factor common to `den` and every numerator, so that
+    equal polynomials have equal pairs."""
 
-    __slots__ = ("sig", "terms", "_hash", "_lead")
+    __slots__ = ("sig", "num", "den", "_terms", "_hash", "_lead")
 
-    def __init__(self, sig: Signature, terms=None):
+    def __init__(self, sig: Signature, terms=None, den=None):
+        """`terms` maps monomials to coefficients, each admitted by
+        `coefficient`; zeros are dropped.  With `den` given (by this
+        package only), `terms` are already nonzero int numerators over the
+        positive int `den`, and only their common factor is divided out."""
         self.sig = sig
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if type(coeff) is not int:
-                    coeff = coefficient(coeff)
-                if coeff:
-                    clean[tuple(mono)] = coeff
-        self.terms = clean
-        self._hash = None
-        self._lead = None
+        if den is None:
+            terms, den = _cleared(terms or {})
+        elif den != 1:
+            terms, den = _reduced(terms, den)
+        self.num = terms
+        self.den = den
+        self._terms = self._hash = self._lead = None
+
+    @property
+    def terms(self) -> dict:
+        """{monomial: coefficient}, each in stored form (see `coefficient`):
+        the numerators themselves when the denominator is 1, else built on
+        the first read and kept.  Read-only, like the Poly."""
+        if self.den == 1:
+            return self.num
+        if self._terms is None:
+            den = self.den
+            self._terms = {m: exact_div(c, den) for m, c in self.num.items()}
+        return self._terms
 
     # construction helpers -------------------------------------------------
 
     @classmethod
     def zero(cls, sig: Signature) -> "Poly":
-        return cls(sig)
+        return cls(sig, {}, 1)
 
     @classmethod
     def constant(cls, sig: Signature, c) -> "Poly":
-        return cls(sig, {(0,) * len(sig): c})
+        c = coefficient(c)
+        return cls(sig, {(0,) * len(sig): c.numerator} if c else {},
+                   c.denominator)
 
     @classmethod
     def one(cls, sig: Signature) -> "Poly":
@@ -196,7 +223,7 @@ class Poly:
     def variable(cls, sig: Signature, name: str) -> "Poly":
         i = sig.index(name)
         mono = tuple(1 if j == i else 0 for j in range(len(sig)))
-        return cls(sig, {mono: 1})
+        return cls(sig, {mono: 1}, 1)
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -213,15 +240,26 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, 0) + c
-        return Poly(self.sig, terms)
+        a, b = self, other
+        if len(a.num) < len(b.num):
+            a, b = b, a
+        g = gcd(a.den, b.den)
+        ka, kb = b.den // g, a.den // g
+        num = dict(a.num) if ka == 1 else {m: c * ka
+                                           for m, c in a.num.items()}
+        get = num.get
+        for m, c in b.num.items():
+            v = get(m, 0) + c * kb
+            if v:
+                num[m] = v
+            else:
+                del num[m]
+        return Poly(self.sig, num, a.den * ka)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.sig, {m: -c for m, c in self.terms.items()})
+        return Poly(self.sig, {m: -c for m, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -238,12 +276,12 @@ class Poly:
             return NotImplemented
         terms = {}
         get = terms.get
-        right = other.terms.items()
-        for m1, c1 in self.terms.items():
+        right = other.num.items()
+        for m1, c1 in self.num.items():
             for m2, c2 in right:
                 m = tuple(map(add, m1, m2))
                 terms[m] = get(m, 0) + c1 * c2
-        return Poly(self.sig, terms)
+        return Poly(self.sig, _nonzero(terms), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -251,9 +289,10 @@ class Poly:
         n = as_int(n)
         if n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        if len(self.terms) == 1:
-            (m, c), = self.terms.items()
-            return Poly(self.sig, {tuple(e * n for e in m): c ** n})
+        if len(self.num) == 1:
+            (m, c), = self.num.items()
+            return Poly(self.sig, {tuple(e * n for e in m): c ** n},
+                        self.den ** n)
         result = Poly.one(self.sig)
         base = self
         while n:
@@ -265,41 +304,55 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         c = coefficient(c)
-        return Poly(self.sig, {m: c * k for m, k in self.terms.items()})
+        if not c:
+            return Poly(self.sig)
+        n = c.numerator  # an int's numerator and denominator are c and 1
+        return Poly(self.sig, {m: n * k for m, k in self.num.items()},
+                    self.den * c.denominator)
 
     # predicates and parts -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # only an int or a Fraction is a number here: a bool or a float
+        # compares unequal rather than being refused
+        if type(other) is int or type(other) is Fraction:
             other = Poly.constant(self.sig, other)
-        if not isinstance(other, Poly):
+        elif not isinstance(other, Poly):
             return NotImplemented
-        return self.sig == other.sig and self.terms == other.terms
+        return (self.sig == other.sig and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
+        # a constant equals its number, so it hashes like it
         if self._hash is None:
-            self._hash = hash((self.sig, frozenset(self.terms.items())))
+            num = self.num
+            if not num or (len(num) == 1 and not any(next(iter(num)))):
+                self._hash = hash(self.constant_term())
+            else:
+                self._hash = hash((self.sig, self.den,
+                                   frozenset(num.items())))
         return self._hash
 
     def degree(self) -> int:
         """Maximal weighted degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(self.sig.wdeg(m) for m in self.terms)
+        return max(map(self.sig.wdeg, self.num))
 
     def is_homogeneous(self) -> bool:
-        degs = {self.sig.wdeg(m) for m in self.terms}
+        degs = set(map(self.sig.wdeg, self.num))
         return len(degs) <= 1
 
     def homogeneous_part(self, d: int) -> "Poly":
-        return Poly(self.sig, {m: c for m, c in self.terms.items()
-                               if self.sig.wdeg(m) == d})
+        wdeg = self.sig.wdeg
+        return Poly(self.sig, {m: c for m, c in self.num.items()
+                               if wdeg(m) == d}, self.den)
 
     def sorted_terms(self):
         """Terms in descending monomial order."""
@@ -311,26 +364,26 @@ class Poly:
         the first call and kept, since a Poly never changes; the zero
         polynomial has none and raises ValueError on every call."""
         if self._lead is None:
-            if not self.terms:
+            if not self.num:
                 raise ValueError("zero polynomial has no leading term")
-            mono = max(self.terms, key=lambda m: grevlex_key(self.sig, m))
-            self._lead = (mono, self.terms[mono])
+            mono = max(self.num, key=lambda m: grevlex_key(self.sig, m))
+            self._lead = (mono, exact_div(self.num[mono], self.den))
         return self._lead
 
     def leading_monomial(self) -> Monomial:
         return self.leading_term()[0]
 
     def constant_term(self) -> int | Fraction:
-        return self.terms.get((0,) * len(self.sig), 0)
+        return exact_div(self.num.get((0,) * len(self.sig), 0), self.den)
 
     def coefficient_of(self, name: str, power: int) -> "Poly":
         """Coefficient of name**power, as a polynomial in the same signature."""
         i = self.sig.index(name)
         terms = {}
-        for m, c in self.terms.items():
+        for m, c in self.num.items():
             if m[i] == power:
                 terms[tuple(0 if j == i else e for j, e in enumerate(m))] = c
-        return Poly(self.sig, terms)
+        return Poly(self.sig, terms, self.den)
 
     def evaluate(self, values: dict) -> int | Fraction:
         """Full evaluation at a rational point given by {name: value}, each
@@ -341,18 +394,18 @@ class Poly:
                 raise KeyError("no value supplied for %r" % name)
             vals.append(coefficient(values[name]))
         total = 0
-        for m, c in self.terms.items():
+        for m, c in self.num.items():
             prod = c
             for v, e in zip(vals, m):
                 if e:
                     prod *= v ** e
             total += prod
-        return coefficient(total)
+        return exact_div(total, self.den)
 
     # printing -------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         pieces = []
         for mono, coeff in self.sorted_terms():
@@ -375,6 +428,42 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%s)" % self
+
+
+def _cleared(terms: dict):
+    """(num, den) of {monomial: coefficient}: each coefficient admitted by
+    `coefficient`, zeros dropped, times den, the lcm of the denominators.
+    No factor is then common to den and every numerator."""
+    num = {}
+    den = 1
+    for mono, c in terms.items():
+        if type(c) is not int:
+            c = coefficient(c)
+            if type(c) is not int:
+                den = lcm(den, c.denominator)
+        if c:
+            num[mono] = c
+    if den != 1:
+        num = {m: c * den if type(c) is int
+               else c.numerator * (den // c.denominator)
+               for m, c in num.items()}
+    return num, den
+
+
+def _reduced(num: dict, den: int):
+    """(num, den) with the factor common to den and every numerator
+    divided out."""
+    g = gcd(den, *num.values())
+    if g == 1:
+        return num, den
+    return {m: c // g for m, c in num.items()}, den // g
+
+
+def _nonzero(num: dict) -> dict:
+    """num without its zero entries (a sum of products may cancel)."""
+    if 0 in num.values():
+        return {m: c for m, c in num.items() if c}
+    return num
 
 
 # parsing -------------------------------------------------------------------
@@ -544,7 +633,7 @@ def division_table(divisors):
     divisors = [d for d in divisors if not d.is_zero()]
     leads = [d.leading_monomial() for d in divisors]
     rows = None
-    if any(len(d.terms) > 1 for d in divisors):
+    if any(len(d.num) > 1 for d in divisors):
         rows = [d.leading_term() + (d.terms,) for d in divisors]
     powers = {}
     for lead in leads:
@@ -560,6 +649,7 @@ def division_table(divisors):
 
 
 _UNSEEN = object()
+_VANISHED = ({}, 1)  # the (num, den) pair of the zero polynomial
 
 
 def reduce_poly(p: Poly, divisors, table=None) -> Poly:
@@ -608,7 +698,7 @@ def reduce_poly(p: Poly, divisors, table=None) -> Poly:
 
     # a Poly has no zero coefficient, so p is standard when no term reduces;
     # the loops read the lookup inline and call first() only on a miss
-    for mono in p.terms:
+    for mono in p.num:
         k = get(mono, _UNSEEN)
         if k is _UNSEEN:
             k = first(mono)
@@ -617,8 +707,8 @@ def reduce_poly(p: Poly, divisors, table=None) -> Poly:
     else:
         return p
     if rows is None:
-        return Poly(sig, {m: c for m, c in p.terms.items()
-                          if first(m) is None})
+        return Poly(sig, {m: c for m, c in p.num.items()
+                          if first(m) is None}, p.den)
     remainder = {}
     work = dict(p.terms)
     heap = [(-sum(map(mul, weights, m)), m[::-1], m) for m in work]
@@ -694,7 +784,7 @@ def _groebner(generators):
             raise ValueError("generators live in different signatures")
         if not g.is_homogeneous():
             raise ValueError("generator %s is not homogeneous" % g)
-        by_degree.setdefault(g.degree(), []).append(g.terms)
+        by_degree.setdefault(g.degree(), []).append(g.num)
     n = len(sig)
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     echelon = {}  # degree -> fully reduced rows {pivot: {mono: coeff}}
@@ -720,7 +810,7 @@ def _groebner(generators):
                 if any(a and b for a, b in zip(other, lead)):
                     stop = max(stop, sig.wdeg(mono_lcm(other, lead)))
             leads.append(lead)
-            basis.append(Poly(sig, pivots[lead]))
+            basis.append(Poly(sig, pivots[lead], pivots[lead][lead]))
         full = full + 1 if len(pivots) == len(order) else 0
         if d >= last and full >= width:
             return basis, d - full + 1
@@ -729,12 +819,14 @@ def _groebner(generators):
 
 
 def _echelon(rows, key):
-    """Fully reduced echelon form of sparse rows: {pivot: monic row}.
+    """Fully reduced echelon form of sparse integer rows: {pivot: row}.
 
-    Consumes the rows (dicts mono -> coeff in stored form, reduced in
-    place); every entry it stores stays in stored form.  Each pivot
-    is the row's largest monomial under `key`; after the back-substitution
-    no row holds another row's pivot.
+    Consumes the rows (dicts mono -> int, reduced in place).  Each pivot is
+    the row's largest monomial under `key`, and each row it stores is
+    primitive (no factor common to its entries) with a positive pivot
+    entry, so row / row[pivot] is the monic row over Q; after the
+    back-substitution no row holds another row's pivot.  Elimination is
+    fraction-free: every entry stays an int.
     """
     pivots = {}
     for row in rows:
@@ -742,25 +834,44 @@ def _echelon(rows, key):
             lead = max(row, key=key)
             pivot = pivots.get(lead)
             if pivot is None:
-                inv = exact_div(1, row[lead])
-                pivots[lead] = {m: coefficient(c * inv)
-                                for m, c in row.items()}
+                pivots[lead] = _primitive(row, lead)
                 break
-            _axpy(row, -row[lead], pivot)
+            _eliminate(row, lead, pivot)
     for lead in sorted(pivots, key=key):
         row = pivots[lead]
-        for m in [m for m in row if m != lead and m in pivots]:
-            _axpy(row, -row[m], pivots[m])
+        hits = [m for m in row if m != lead and m in pivots]
+        for m in hits:
+            _eliminate(row, m, pivots[m])
+        if hits:
+            pivots[lead] = _primitive(row, lead)
     return pivots
 
 
+def _eliminate(row, m, pivot):
+    """Clear row's entry at m, pivot's own pivot: row = (p / g) row -
+    (r / g) pivot, for p and r the entries at m and g = gcd(p, r) > 0."""
+    p, r = pivot[m], row[m]
+    g = gcd(p, r)
+    if g != p:
+        k = p // g
+        for x, c in row.items():
+            row[x] = c * k
+    _axpy(row, -(r // g), pivot)
+
+
+def _primitive(row, lead):
+    """row divided by the gcd of its entries, signed so that row[lead] > 0."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    return row if g == 1 else {m: c // g for m, c in row.items()}
+
+
 def _axpy(row, factor, other):
-    """row += factor * other, dropping cancelled entries; entries are
-    kept in stored form (see `coefficient`)."""
+    """row += factor * other, on int entries, dropping cancelled ones."""
+    get = row.get
     for m, c in other.items():
-        v = row.get(m, 0) + factor * c
-        if type(v) is not int:
-            v = coefficient(v)
+        v = get(m, 0) + factor * c
         if v:
             row[m] = v
         else:
@@ -772,10 +883,12 @@ class GroebnerBasis:
 
     The normal form of a polynomial modulo a Groebner basis is unique and
     linear, so `normal_form` sums the normal forms of p's monomials, and
-    `form` finds each monomial's by the basis' `rule`: monomial -> the terms
-    of its normal form, or None when it is standard.  Both kinds of basis
-    keep these in `forms`, for monomials of weighted degree at most
-    `limit`, so a warm basis finds each kept monomial's form once.
+    `form` finds each monomial's by the basis' `rule`: monomial -> its
+    normal form as a Poly's (num, den) pair, or None when it is standard;
+    `normal_form` brings the pairs to one denominator, their lcm, and adds
+    integers.  Both kinds of basis keep these in `forms`, for monomials of
+    weighted degree at most `limit`, so a warm basis finds each kept
+    monomial's form once.
 
     A presented basis's rule is its own `_divide`: reduce_poly of the one
     monomial, with the division table `table`, built once.  It also
@@ -783,11 +896,12 @@ class GroebnerBasis:
     where the run of full degrees that stopped groebner_basis early starts
     (B 5, G26 9, P5 6); failing that, the table's pure-power bound + 1,
     past which a lead divides every monomial (Gw36 7, P1^4 5); else None.
-    A monomial of degree at least `vanish` has form {}, since its degree
-    holds no standard monomial and division by a homogeneous basis stays
-    in one degree; it is neither divided nor kept.  Every degree above the
-    pure-power bound is zero, so vanish - 1 is at most that bound, and
-    `limit` is vanish - 1 (-1, so nothing is kept, when `vanish` is None).
+    A monomial of degree at least `vanish` has form ({}, 1), since its
+    degree holds no standard monomial and division by a homogeneous basis
+    stays in one degree; it is neither divided nor kept.  Every degree
+    above the pure-power bound is zero, so vanish - 1 is at most that
+    bound, and `limit` is vanish - 1 (-1, so nothing is kept, when
+    `vanish` is None).
 
     A derived basis (made by `derived`: a product's, a projective bundle's
     or a blow-up's, in rings.py) divides nothing.  Its rule gives the
@@ -823,8 +937,9 @@ class GroebnerBasis:
     def derived(cls, elements, rule, limit: int) -> "GroebnerBasis":
         """A basis of already reduced elements, sorted here by ascending
         leading monomial, whose monomials take their normal forms from
-        `rule` (monomial -> terms of its normal form, or None when it is
-        standard); `forms` keeps those of weighted degree at most `limit`."""
+        `rule` (monomial -> (num, den) of its normal form, or None when it
+        is standard); `forms` keeps those of weighted degree at most
+        `limit`."""
         elements = sorted(elements, key=lambda p: grevlex_key(
             p.sig, p.leading_monomial()))
         gb = cls(elements, True)
@@ -839,9 +954,9 @@ class GroebnerBasis:
 
     def _divide(self, mono: Monomial):
         """A presented basis's rule: mono's form by division."""
-        p = Poly(self.sig, {mono: 1})
+        p = Poly(self.sig, {mono: 1}, 1)
         nf = reduce_poly(p, self.elements, self.table)
-        return None if nf is p else nf.terms
+        return None if nf is p else (nf.num, nf.den)
 
     def normal_form(self, p: Poly) -> Poly:
         """p reduced modulo the basis, the sum of its monomials' forms; p
@@ -850,29 +965,35 @@ class GroebnerBasis:
             raise ValueError("polynomial signature does not match basis")
         get, form = self.forms.get, self.form
         forms = []
-        for m in p.terms:
+        for m in p.num:
             f = get(m, _UNSEEN)
             forms.append(form(m) if f is _UNSEEN else f)
         if forms.count(None) == len(forms):
             return p
+        den = lcm(*[f[1] for f in forms if f is not None])
         out = {}
-        for (m, c), f in zip(p.terms.items(), forms):
+        old = out.get
+        for (m, c), f in zip(p.num.items(), forms):
             if f is None:
-                out[m] = out.get(m, 0) + c
+                out[m] = old(m, 0) + c * den
             else:
-                for m2, c2 in f.items():
-                    out[m2] = out.get(m2, 0) + c * c2
-        return Poly(self.sig, out)
+                num, d = f
+                if d != den:
+                    c *= den // d
+                for m2, c2 in num.items():
+                    out[m2] = old(m2, 0) + c * c2
+        return Poly(self.sig, _nonzero(out), p.den * den)
 
     def form(self, mono: Monomial):
-        """The terms of mono's normal form, or None when mono is standard;
-        {} from `vanish` on, and kept in `forms` up to `limit`."""
+        """mono's normal form as a (num, den) pair, or None when mono is
+        standard; ({}, 1) from `vanish` on, and kept in `forms` up to
+        `limit`."""
         f = self.forms.get(mono, _UNSEEN)
         if f is not _UNSEEN:
             return f
         degree = sum(map(mul, self.sig.weights, mono))
         if self.vanish is not None and degree >= self.vanish:
-            return {}
+            return _VANISHED
         f = self.rule(mono)
         if degree <= self.limit:
             self.forms[mono] = f

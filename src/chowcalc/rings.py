@@ -69,6 +69,8 @@ from chowcalc.poly import (
     GroebnerBasis,
     Poly,
     Signature,
+    _cleared,
+    _reduced,
     as_int,
     coefficient,
     exact_div,
@@ -129,7 +131,7 @@ class ChowClass:
             raise ValueError("negative power of a Chow class")
         if n == 0:
             return self.ring.one()
-        if len(self.rep.terms) <= 1:
+        if len(self.rep.num) <= 1:
             # a power of a term is a term: one normal form
             return ChowClass(self.ring, self.rep ** n)
         # square and multiply, each product in normal form
@@ -144,14 +146,18 @@ class ChowClass:
             base = base * base
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        # a bool or a float compares unequal rather than being refused
+        if type(other) is int or type(other) is Fraction \
+                or isinstance(other, Poly):
             other = self._coerce(other)
         if not isinstance(other, ChowClass):
             return NotImplemented
         return self.ring is other.ring and self.rep == other.rep
 
     def __hash__(self):
-        return hash((id(self.ring), self.rep))
+        # a constant class equals its number and hashes like it, as its
+        # normal form does
+        return hash(self.rep)
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()
@@ -262,25 +268,27 @@ class ChowRing:
     # integration ----------------------------------------------------------
 
     def integrate(self, x) -> Fraction:
-        terms = self.cls(x).rep.terms
-        degrees = set(map(self.sig.wdeg, terms))  # each read once
+        rep = self.cls(x).rep
+        degrees = set(map(self.sig.wdeg, rep.num))  # each read once
         if len(degrees) > 1:
             raise ValueError("cannot integrate an inhomogeneous class")
         if degrees != {self.dim}:
             return Fraction(0)
         if self.top is None:
             raise ValueError("ring %s has no integration rule" % self.label)
-        return Fraction(sum(c * self.top.get(m, 0)
-                            for m, c in terms.items()))
+        # integer numerators against `top`, one Fraction at the end
+        top = self.top
+        return Fraction(sum(c * top.get(m, 0) for m, c in rep.num.items()),
+                        rep.den)
 
     def pushforward(self, x) -> ChowClass:
         """pi_* to the base of a bundle ring (zeta-degree r-1 coefficient)."""
         if self.rank is None:
             raise ValueError("pushforward needs a projective-bundle ring")
         x = self.cls(x)
-        terms = {m[1:]: c for m, c in x.rep.terms.items()
-                 if m[0] == self.rank - 1}
-        return ChowClass(self.base, Poly(self.base.sig, terms))
+        num = {m[1:]: c for m, c in x.rep.num.items()
+               if m[0] == self.rank - 1}
+        return ChowClass(self.base, Poly(self.base.sig, num, x.rep.den))
 
     def pullback(self, x) -> ChowClass:
         """pi^* from the base of a bundle ring (inject base variables)."""
@@ -305,7 +313,7 @@ def presented(label, sig, relations, dim, tau, n,
     """
     gb = GroebnerBasis(relations)
     t = gb.normal_form(tau)
-    if len(t.terms) != 1 \
+    if len(t.num) != 1 \
             or gb.standard_monomials(dim) != [t.leading_monomial()]:
         raise ValueError("top graded piece of %s is not visibly "
                          "one-dimensional" % label)
@@ -341,7 +349,7 @@ def _lift(p: Poly, sig: Signature, offset: int) -> Poly:
     """p with its variables placed at sig's positions offset, offset + 1, ..."""
     left = (0,) * offset
     right = (0,) * (len(sig) - offset - len(p.sig))
-    return Poly(sig, {left + m + right: c for m, c in p.terms.items()})
+    return Poly(sig, {left + m + right: c for m, c in p.num.items()}, p.den)
 
 
 def _lifted(ring: ChowRing, sig: Signature, offset: int):
@@ -379,12 +387,9 @@ def _product_rule(gb_a: GroebnerBasis, gb_b: GroebnerBasis, off: int):
         fa, fb = form_a(ma), form_b(mb)
         if fa is None and fb is None:
             return None
-        if fa is None:
-            fa = {ma: 1}
-        if fb is None:
-            fb = {mb: 1}
-        return _stored({x + y: c * d for x, c in fa.items()
-                        for y, d in fb.items()})
+        (na, da), (nb, db) = fa or ({ma: 1}, 1), fb or ({mb: 1}, 1)
+        return _reduced({x + y: c * d for x, c in na.items()
+                         for y, d in nb.items()}, da * db)
 
     return rule
 
@@ -398,7 +403,7 @@ def _blowup_rule(base_gb: GroebnerBasis):
         if f is None:
             return None
         e = mono[-1:]
-        return {m + e: c for m, c in f.items()}
+        return {m + e: c for m, c in f[0].items()}, f[1]
 
     return rule
 
@@ -496,10 +501,10 @@ def _bundle_rule(base_gb: GroebnerBasis, taut):
     def add_form(out, prefix, mono, c):
         """out += c NF_base(mono), each monomial keyed as prefix + it:
         () for base terms, (j,) for terms of zeta^j."""
-        f = form(mono)
-        if f is None:
-            f = {mono: 1}
-        for x, d in f.items():
+        num, den = form(mono) or ({mono: 1}, 1)
+        if den != 1:
+            c = exact_div(c, den)
+        for x, d in num.items():
             key = prefix + x
             out[key] = out.get(key, 0) + c * d
 
@@ -525,12 +530,12 @@ def _bundle_rule(base_gb: GroebnerBasis, taut):
             f = form(m)
             if f is None:
                 return None
-            return {(k,) + x: c for x, c in f.items()}
+            return {(k,) + x: c for x, c in f[0].items()}, f[1]
         out = {}
         for j, s in enumerate(power(k)):
             for t, c in s.items():
                 add_form(out, (j,), mono_mul(t, m), c)
-        return _stored(out)
+        return _cleared(out)
 
     return rule
 

@@ -1,12 +1,17 @@
-"""Coefficients are stored integer-first, and every division is exact.
+"""Coefficients are integers over one denominator, and every division is
+exact.
 
-A stored coefficient is an `int` when it is integral and a `Fraction`
-whose denominator is not 1 when it is not.  Every Poly built during a full
-slow `verify run`, and during products of rational classes on `B`, is
-checked as it is built.
+A Poly stores nonzero int numerators over one int denominator > 0, with
+no factor common to the denominator and every numerator.  Its `terms`
+view holds each coefficient in stored form: an `int` when it is integral
+and a `Fraction` whose denominator is not 1 when it is not.  Every Poly
+built during a full slow `verify run`, and during products of rational
+classes on `B`, is checked; every Poly, whichever operation makes it,
+passes through `Poly.__init__`, where the fixture sees it.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -20,14 +25,24 @@ def is_canonical(c):
     return (type(c) is int) or (type(c) is Fraction and c.denominator != 1)
 
 
+def is_stored_pair(p):
+    """The invariant of a Poly's (num, den) and of its `terms` view."""
+    num, den = p.num, p.den
+    return (type(den) is int and den > 0
+            and all(type(c) is int and c for c in num.values())
+            and gcd(den, *num.values()) == 1
+            and all(is_canonical(c) for c in p.terms.values())
+            and p.terms == {m: Fraction(c, den) for m, c in num.items()})
+
+
 @pytest.fixture
 def built_polys(monkeypatch):
     """Every Poly constructed while the fixture is active, in order."""
     seen = []
     init = Poly.__init__
 
-    def recording_init(self, sig, terms=None):
-        init(self, sig, terms)
+    def recording_init(self, sig, terms=None, den=None):
+        init(self, sig, terms, den)
         seen.append(self)
 
     monkeypatch.setattr(Poly, "__init__", recording_init)
@@ -50,7 +65,7 @@ def test_full_run_stores_canonical_coefficients(built_polys, capsys):
     assert len(built_polys) > 10000
     fractional = 0
     for p in built_polys:
-        assert all(is_canonical(c) for c in p.terms.values()), p
+        assert is_stored_pair(p), p
         fractional += any(type(c) is Fraction for c in p.terms.values())
     assert fractional > 0
     for name in ("B", "G26", "Gw36", "FB", "I", "Pi", "P1^4"):

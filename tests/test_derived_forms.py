@@ -226,7 +226,7 @@ def assert_memo_within_bound(gb):
         if form is None:
             assert want == one
         else:
-            assert Poly(gb.sig, form) == want != one
+            assert Poly(gb.sig, *form) == want != one
 
 
 @pytest.mark.parametrize("name", list(BUILDERS))

@@ -1,16 +1,17 @@
 """A warm basis decides each monomial once.
 
-Each presented `GroebnerBasis` keeps `forms`, from a monomial to the terms
-of its normal form (or None when it is standard), for monomials below its
-vanishing degree; a basis with no vanishing degree keeps nothing.  Within
-one call, reduce_poly looks up each monomial's first divisor once and
-keeps nothing across calls.  A derived basis divides nothing
-(tests/test_derived_forms.py checks its memos), so the memo tests run on
-presented bases only: on a derived ring, on the presented basis of its
-relations.  The memo and the per-call lookup must change no remainder, on
-a basis or on a raw relation list; a standard input comes back as the
-same object; a second normal form of the same input divides nothing and
-reads no lead; and `ChowRing.var` builds each variable's class once.
+Each presented `GroebnerBasis` keeps `forms`, from a monomial to the
+(numerators, denominator) pair of its normal form (or None when it is
+standard), for monomials below its vanishing degree; a basis with no
+vanishing degree keeps nothing.  Within one call, reduce_poly looks up
+each monomial's first divisor once and keeps nothing across calls.  A
+derived basis divides nothing (tests/test_derived_forms.py checks its
+memos), so the memo tests run on presented bases only: on a derived ring,
+on the presented basis of its relations.  The memo and the per-call lookup
+must change no remainder, on a basis or on a raw relation list; a standard
+input comes back as the same object; a second normal form of the same
+input divides nothing and reads no lead; and `ChowRing.var` builds each
+variable's class once.
 """
 
 import functools
@@ -70,9 +71,7 @@ def test_warm_normal_form_is_the_division_remainder(data, name):
 @pytest.mark.parametrize("name", list(BUILDERS))
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_lookup_holds_first_divisors_up_to_the_bound(data, name):
-    # named for the first-divisor lookup that `forms` replaced: the memo
-    # holds true normal forms, below the vanishing degree only
+def test_forms_hold_normal_forms_below_vanish(data, name):
     ring = ring_of(name)
     gb = presented_basis(name)
     assert is_presented(gb) and gb.elements == ring.gb.elements
@@ -85,7 +84,7 @@ def test_lookup_holds_first_divisors_up_to_the_bound(data, name):
         assert weighted_degree(ring.sig, mono) < gb.vanish
         one = Poly(ring.sig, {mono: 1})
         want = divide(one, gb.elements)
-        assert (one if form is None else Poly(ring.sig, form)) == want
+        assert (one if form is None else Poly(ring.sig, *form)) == want
 
 
 def test_bounds_of_the_catalog_and_a_blowup():
