@@ -7,22 +7,33 @@ g_k = -B_k / (k k!) from the Bernoulli numbers.
 
 The series calculus (total Chern and Segre classes, Whitney sums and
 quotients, Newton's identities, exp, twists) runs in Q[vars], not in the
-quotient ring.  A series is a list s[0..dim] of graded parts, each a dict
-from monomial to coefficient; nothing above degree dim is kept and nothing
-is reduced.  The ideals are homogeneous, so a normal form keeps degrees and
-the degree-d part of a result depends only on parts of degree <= d:
-truncating at dim and reducing once at the end gives the class that
-reducing every step would.  So each function makes one normal form per
-class it returns (Fulton, Intersection Theory, 3.2 and Examples 3.2.2-3.2.3).
+quotient ring.  A series is a list s[0..dim] of graded parts; nothing above
+degree dim is kept and nothing is reduced.  The ideals are homogeneous, so
+a normal form keeps degrees and the degree-d part of a result depends only
+on parts of degree <= d: truncating at dim and reducing once at the end
+gives the class that reducing every step would.  So each function makes
+one normal form per class it returns (Fulton, Intersection Theory, 3.2 and
+Examples 3.2.2-3.2.3).
+
+Each graded part is held as a Poly holds its terms: integer numerators over
+one positive denominator.  Every step of a recurrence is a sum of products
+of earlier parts, possibly divided by an integer (the k of Newton's
+identities, the d of exp's E' = x' E), and `_part` makes it on integers:
+the terms are brought to the lcm of their denominators, added as ints, and
+the divisor joins the denominator.  So with ch = N / D, Newton's c_k comes
+out over (a divisor of) k! D^k, and the inverse of a series whose parts
+are over D^d is over D^d too, with no Fraction per term.  Each class
+returned is built once through `Poly(sig, num, den)`, so it is the class a
+Fraction per term would give.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import add
 
-from chowcalc.poly import Poly, as_int, exact_div
+from chowcalc.poly import Poly, _nonzero, _reduced, as_int, exact_div
 from chowcalc.rings import ChowClass, ChowRing
 
 
@@ -76,60 +87,62 @@ class BundleClass:
 
 
 def _graded(p: Poly, top: int):
-    """The series of p: its graded parts p_0..p_top as term dicts."""
+    """The series of p: its graded parts p_0..p_top, each over p's
+    denominator."""
     parts = [{} for _ in range(top + 1)]
     wdeg = p.sig.wdeg
-    for mono, c in p.terms.items():
+    for mono, c in p.num.items():
         d = wdeg(mono)
         if d <= top:
             parts[d][mono] = c
-    return parts
+    return [(part, p.den) for part in parts]
 
 
-def _unit(ring: ChowRing) -> dict:
-    return {(0,) * len(ring.sig): 1}
+def _unit(ring: ChowRing):
+    return {(0,) * len(ring.sig): 1}, 1
 
 
 def _chern_series(e: BundleClass):
     """c(e) = 1 + c_1 + ... + c_dim as a series."""
-    return [_unit(e.ring)] + [c.rep.terms for c in e.chern]
+    return [_unit(e.ring)] + [(c.rep.num, c.rep.den) for c in e.chern]
 
 
-def _scale(part: dict, s) -> dict:
-    return {m: c * s for m, c in part.items()}
-
-
-def _add_product(acc: dict, a: dict, b: dict, scale=1) -> None:
-    """acc += scale * a * b on term dicts."""
+def _part(terms, divisor: int = 1):
+    """The part (sum of s a b over terms (s, a, b)) / divisor, for int s
+    and parts a and b: its numerators over the lcm of the terms'
+    denominators, times the divisor, in lowest terms."""
+    terms = [t for t in terms if t[0] and t[1][0] and t[2][0]]
+    dens = [a[1] * b[1] for _, a, b in terms]
+    den = lcm(*dens)
+    acc = {}
     get = acc.get
-    for m1, c1 in a.items():
-        c1 *= scale
-        for m2, c2 in b.items():
-            m = tuple(map(add, m1, m2))
-            acc[m] = get(m, 0) + c1 * c2
+    for (s, (a, _), (b, _)), d in zip(terms, dens):
+        s *= den // d
+        b = b.items()
+        for m1, c1 in a.items():
+            c1 *= s
+            for m2, c2 in b:
+                m = tuple(map(add, m1, m2))
+                acc[m] = get(m, 0) + c1 * c2
+    return _reduced(_nonzero(acc), den * divisor)
 
 
 def _product(a, b):
     """a * b for series of one length, truncated to that length."""
-    out = [{} for _ in a]
-    for d, acc in enumerate(out):
-        for i in range(d + 1):
-            _add_product(acc, a[i], b[d - i])
-    return out
+    return [_part([(1, a[i], b[d - i]) for i in range(d + 1)])
+            for d in range(len(a))]
 
 
 def _inverse(a):
     """1 / a for a series with degree-0 part 1: inv_d = -sum a_i inv_(d-i)
     over 1 <= i <= d."""
-    if [c for c in a[0].values() if c] != [1]:
+    num, den = a[0]
+    if list(num.values()) != [den]:
         raise ValueError("a series is inverted only when its degree-0 part "
                          "is 1")
-    inv = [a[0]]
+    inv = [({mono: 1 for mono in num}, 1)]
     for d in range(1, len(a)):
-        acc = {}
-        for i in range(1, d + 1):
-            _add_product(acc, a[i], inv[d - i], -1)
-        inv.append(acc)
+        inv.append(_part([(-1, a[i], inv[d - i]) for i in range(1, d + 1)]))
     return inv
 
 
@@ -138,23 +151,26 @@ def _exp(ring: ChowRing, x):
     E' = x' E: d E_d = sum i x_i E_(d-i) over 1 <= i <= d."""
     out = [_unit(ring)]
     for d in range(1, len(x)):
-        acc = {}
-        for i in range(1, d + 1):
-            _add_product(acc, x[i], out[d - i], Fraction(i, d))
-        out.append(acc)
+        out.append(_part([(i, x[i], out[d - i]) for i in range(1, d + 1)], d))
     return out
 
 
 def _class(ring: ChowRing, series) -> ChowClass:
     """The class of a series: its parts summed and reduced once."""
-    return ring.cls(Poly(ring.sig, {m: c for part in series
-                                    for m, c in part.items()}))
+    parts = [p for p in series if p[0]]
+    den = lcm(*[d for _, d in parts])
+    num = {}
+    for part, d in parts:
+        k = den // d
+        for m, c in part.items():
+            num[m] = c * k
+    return ring.cls(Poly(ring.sig, num, den))
 
 
 def _bundle(ring: ChowRing, rank: int, series) -> BundleClass:
     """The bundle class with total Chern class `series` (degree 0 is 1)."""
-    return BundleClass(ring, rank, [Poly(ring.sig, part)
-                                    for part in series[1:]])
+    return BundleClass(ring, rank, [Poly(ring.sig, num, den)
+                                    for num, den in series[1:]])
 
 
 # Whitney, Segre, twists -----------------------------------------------------
@@ -199,15 +215,11 @@ def twist(e: BundleClass, d) -> BundleClass:
     cs = _chern_series(e)
     powers = [cs[0]]
     for _ in range(ring.dim):
-        acc = {}
-        _add_product(acc, powers[-1], d.rep.terms)
-        powers.append(acc)
-    new = [cs[0]]
-    for i in range(1, ring.dim + 1):
-        acc = {}
-        for j in range(i + 1):
-            _add_product(acc, cs[j], powers[i - j], _binomial(r - j, i - j))
-        new.append(acc)
+        powers.append(_part([(1, powers[-1], (d.rep.num, d.rep.den))]))
+    new = [cs[0]] + [
+        _part([(_binomial(r - j, i - j), cs[j], powers[i - j])
+               for j in range(i + 1)])
+        for i in range(1, ring.dim + 1)]
     return _bundle(ring, r, new)
 
 
@@ -221,7 +233,7 @@ def segre_component(e: BundleClass, k: int) -> ChowClass:
     if not 0 <= k <= ring.dim:
         return ring.zero()
     # s_k needs only c_0..c_k
-    return ring.cls(Poly(ring.sig, _inverse(_chern_series(e)[:k + 1])[k]))
+    return ring.cls(Poly(ring.sig, *_inverse(_chern_series(e)[:k + 1])[k]))
 
 
 def wedge2_rank3(e: BundleClass) -> BundleClass:
@@ -240,19 +252,21 @@ def _power_sums(e: BundleClass):
     """Newton power sums of the Chern roots as a series (p_0 = 0):
     p_k = (-1)^(k-1) k c_k + sum (-1)^(i-1) c_i p_(k-i) over 1 <= i < k."""
     cs = _chern_series(e)
-    ps = [{}]
+    one = cs[0]
+    ps = [({}, 1)]
     for k in range(1, len(cs)):
-        acc = _scale(cs[k], (-1) ** (k - 1) * k)
-        for i in range(1, k):
-            _add_product(acc, cs[i], ps[k - i], (-1) ** (i - 1))
-        ps.append(acc)
+        ps.append(_part([((-1) ** (k - 1) * k, cs[k], one)]
+                        + [((-1) ** (i - 1), cs[i], ps[k - i])
+                           for i in range(1, k)]))
     return ps
 
 
 def chern_character(e: BundleClass) -> ChowClass:
-    ch = [_scale(p, Fraction(1, factorial(k)))
-          for k, p in enumerate(_power_sums(e))]
-    ch[0] = _scale(_unit(e.ring), e.rank)
+    """ch = rank + sum p_k / k!."""
+    one = _unit(e.ring)
+    ch = [_part([(e.rank, one, one)])]
+    ch += [(p, den * factorial(k))
+           for k, (p, den) in enumerate(_power_sums(e)) if k]
     return _class(e.ring, ch)
 
 
@@ -262,14 +276,13 @@ def chern_from_character(ring: ChowRing, ch) -> BundleClass:
     rank_c = ch.rep.constant_term()
     if rank_c.denominator != 1:
         raise ValueError("character has non-integral rank")
-    ps = [_scale(part, factorial(k))
-          for k, part in enumerate(_graded(ch.rep, ring.dim))]
+    # Newton: k c_k = sum (-1)^(i-1) c_(k-i) p_i over 1 <= i <= k, with the
+    # power sums p_i = i! ch_i; with ch = N / D, c_k is over k! D^k
+    chs = _graded(ch.rep, ring.dim)
     es = [_unit(ring)]
     for k in range(1, ring.dim + 1):
-        acc = _scale(ps[k], (-1) ** (k - 1))
-        for i in range(1, k):
-            _add_product(acc, es[k - i], ps[i], (-1) ** (i - 1))
-        es.append(_scale(acc, Fraction(1, k)))
+        es.append(_part([((-1) ** (i - 1) * factorial(i), es[k - i], chs[i])
+                         for i in range(1, k + 1)], k))
     return _bundle(ring, int(rank_c), es)
 
 
@@ -290,7 +303,9 @@ def _todd_series_coefficients(top: int):
 def todd_class(e: BundleClass) -> ChowClass:
     """Todd class via td = exp(sum g_k p_k)."""
     g = _todd_series_coefficients(e.ring.dim)
-    log_td = [_scale(p, g[k]) for k, p in enumerate(_power_sums(e))]
+    one = _unit(e.ring)
+    log_td = [_part([(c.numerator, p, one)], c.denominator)
+              for c, p in zip(g, _power_sums(e))]
     return _class(e.ring, _exp(e.ring, log_td))
 
 
@@ -323,10 +338,8 @@ def chi_of_character(ring: ChowRing, ch) -> Fraction:
     n = ring.dim
     chs = _graded(ch.rep, n)
     tds = _graded(_tangent_todd(ring), n)
-    acc = {}
-    for i in range(n + 1):
-        _add_product(acc, chs[i], tds[n - i])
-    return ring.integrate(Poly(ring.sig, acc))
+    top = _part([(1, chs[i], tds[n - i]) for i in range(n + 1)])
+    return ring.integrate(Poly(ring.sig, *top))
 
 
 def grr_push_curve(ambient: ChowRing, genus: int, curve_class, point_class,

@@ -523,6 +523,11 @@ def parse_poly(text: str, sig: Signature) -> Poly:
     ^ binds tightest and takes a nonnegative integer exponent of at most
     MAX_EXPONENT; unary minus binds loosest (applies to a whole product).
     A literal has at most MAX_DIGITS digits.
+
+    A product of literals, variables and their powers is read as one term,
+    a (coefficient, exponent tuple) pair, and the terms of an expression
+    are summed into one Poly; only a parenthesised factor is a Poly, and
+    multiplies as one.
     """
     toks = _Tokens(text)
     poly = _parse_expr(toks, sig)
@@ -533,38 +538,59 @@ def parse_poly(text: str, sig: Signature) -> Poly:
 
 
 def _parse_expr(toks: _Tokens, sig: Signature) -> Poly:
-    negate = False
+    terms = {}
+    polys = []
+
+    def add_term(term, sign):
+        if type(term) is tuple:
+            c, mono = term
+            terms[mono] = terms.get(mono, 0) + sign * c
+        else:
+            polys.append(term if sign > 0 else -term)
+
+    sign = 1
     kind, value, _ = toks.peek()
     if kind == "op" and value == "-":
         toks.next()
-        negate = True
+        sign = -1
     elif kind == "op" and value == "+":
         toks.next()
-    acc = _parse_term(toks, sig)
-    if negate:
-        acc = -acc
+    add_term(_parse_term(toks, sig), sign)
     while True:
         kind, value, _ = toks.peek()
         if kind == "op" and value in "+-":
             toks.next()
-            term = _parse_term(toks, sig)
-            acc = acc + term if value == "+" else acc - term
+            add_term(_parse_term(toks, sig), 1 if value == "+" else -1)
         else:
-            return acc
+            return sum(polys, Poly(sig, terms))
 
 
-def _parse_term(toks: _Tokens, sig: Signature) -> Poly:
+def _as_poly(factor, sig: Signature) -> Poly:
+    """A factor as a Poly: a (coefficient, exponent tuple) term or a Poly."""
+    if type(factor) is tuple:
+        c, mono = factor
+        return Poly(sig, {mono: c})
+    return factor
+
+
+def _parse_term(toks: _Tokens, sig: Signature):
+    """A product: one (coefficient, exponent tuple) term while every factor
+    is one, else a Poly."""
     acc = _parse_factor(toks, sig)
     while True:
         kind, value, _ = toks.peek()
         if kind == "op" and value == "*":
             toks.next()
-            acc = acc * _parse_factor(toks, sig)
+            factor = _parse_factor(toks, sig)
+            if type(acc) is tuple and type(factor) is tuple:
+                acc = (acc[0] * factor[0], mono_mul(acc[1], factor[1]))
+            else:
+                acc = _as_poly(acc, sig) * _as_poly(factor, sig)
         else:
             return acc
 
 
-def _parse_factor(toks: _Tokens, sig: Signature) -> Poly:
+def _parse_factor(toks: _Tokens, sig: Signature):
     base = _parse_atom(toks, sig)
     kind, value, _ = toks.peek()
     if kind == "op" and value == "^":
@@ -575,7 +601,11 @@ def _parse_factor(toks: _Tokens, sig: Signature) -> Poly:
         digits = value.lstrip("0") or "0"
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
             raise ParseError("exponent above the cap %d" % MAX_EXPONENT, pos)
-        base = base ** int(digits)
+        n = int(digits)
+        if type(base) is tuple:
+            c, mono = base
+            return c ** n, tuple(e * n for e in mono)
+        return base ** n
     return base
 
 
@@ -587,7 +617,9 @@ def _literal(value: str, pos: int) -> int:
     return int(digits)
 
 
-def _parse_atom(toks: _Tokens, sig: Signature) -> Poly:
+def _parse_atom(toks: _Tokens, sig: Signature):
+    """A literal or a variable as a (coefficient, exponent tuple) term; a
+    parenthesised expression as a Poly."""
     kind, value, pos = toks.next()
     if kind == "int":
         num = _literal(value, pos)
@@ -600,12 +632,13 @@ def _parse_atom(toks: _Tokens, sig: Signature) -> Poly:
             den = _literal(value3, pos3)
             if den == 0:
                 raise ParseError("zero denominator", pos3)
-            return Poly.constant(sig, Fraction(num, den))
-        return Poly.constant(sig, num)
+            num = Fraction(num, den)
+        return num, (0,) * len(sig)
     if kind == "ident":
         if value not in sig.names:
             raise ParseError("unknown variable %r" % value, pos)
-        return Poly.variable(sig, value)
+        i = sig.names.index(value)
+        return 1, tuple(int(j == i) for j in range(len(sig)))
     if kind == "op" and value == "(":
         inner = _parse_expr(toks, sig)
         kind2, value2, pos2 = toks.next()
@@ -929,6 +962,7 @@ class GroebnerBasis:
             if self.vanish is None and self.table[2] is not None:
                 self.vanish = self.table[2] + 1
         self.leads = [g.leading_monomial() for g in self.elements]
+        self._standard_by_degree = []  # degree d -> its standard monomials
         self.forms = {}
         self.rule = self._divide
         self.limit = -1 if self.vanish is None else self.vanish - 1
@@ -1000,9 +1034,29 @@ class GroebnerBasis:
         return f
 
     def standard_monomials(self, degree: int):
-        """Monomials of the given weighted degree outside the lead ideal."""
-        return [m for m in monomials_of_degree(self.sig, degree)
-                if not any(mono_divides(l, m) for l in self.leads)]
+        """Monomials of the given weighted degree outside the lead ideal, in
+        monomials_of_degree's order (ascending exponent tuples).
+
+        They form an order ideal: x_i s standard makes s standard.  So
+        degree d's are found among the products s x_i, s standard of degree
+        d - w_i, rather than among every monomial of degree d; each degree's
+        list is kept on the basis, and a copy handed out."""
+        if degree < 0:
+            return []
+        kept = self._standard_by_degree
+        for d in range(len(kept), degree + 1):
+            if d == 0:
+                found = {(0,) * len(self.sig)}
+            else:
+                found = set()
+                for i, w in enumerate(self.sig.weights):
+                    if w <= d:
+                        found.update(s[:i] + (s[i] + 1,) + s[i + 1:]
+                                     for s in kept[d - w])
+            leads = self.leads
+            kept.append(sorted(m for m in found
+                               if not any(mono_divides(l, m) for l in leads)))
+        return list(kept[degree])
 
     def hilbert_function(self, max_degree: int):
         """Dimensions of the graded quotient up to max_degree inclusive."""

@@ -63,13 +63,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from chowcalc.poly import (
     GroebnerBasis,
     Poly,
     Signature,
-    _cleared,
+    _nonzero,
     _reduced,
     as_int,
     coefficient,
@@ -146,10 +146,12 @@ class ChowClass:
             base = base * base
 
     def __eq__(self, other):
-        # a bool or a float compares unequal rather than being refused
-        if type(other) is int or type(other) is Fraction \
-                or isinstance(other, Poly):
-            other = self._coerce(other)
+        # a number compares as a constant class; a bool or a float compares
+        # unequal rather than being refused.  A raw Poly compares unequal
+        # too: equal to its class only after reduction, which no hash can
+        # do, it would break a == b => hash(a) == hash(b)
+        if type(other) is int or type(other) is Fraction:
+            other = self.ring.const(other)
         if not isinstance(other, ChowClass):
             return NotImplemented
         return self.ring is other.ring and self.rep == other.rep
@@ -471,11 +473,11 @@ def projective_bundle(base: ChowRing, chern, zeta: str, label=None) -> ChowRing:
     rels, gens = _lifted(base, sig, 1)
     # zeta^r = sum_j zeta^j s_rj, s_(r, r-i) = (-1)^(i+1) c_i; the relation
     # is zeta^r minus that sum, written term by term
-    taut = [{} for _ in range(r)]
+    taut = [None] * r
     terms = {(r,) + (0,) * len(base.sig): 1}
     for i, ci in enumerate(cherns, start=1):
         sign = 1 if i % 2 else -1
-        taut[r - i] = {m: sign * c for m, c in ci.terms.items()}
+        taut[r - i] = {m: sign * c for m, c in ci.num.items()}, ci.den
         for m, c in ci.terms.items():
             terms[(r - i,) + m] = -sign * c
     rel = Poly(sig, terms)
@@ -493,35 +495,43 @@ def _bundle_rule(base_gb: GroebnerBasis, taut):
     k < r this is zeta^k NF_base(m).  `taut` is [s_r0, ..., s_r(r-1)], and
     zeta^(k+1) = zeta zeta^k gives
         s_(k+1)j = s_k(j-1) + NF_base(s_k(r-1) s_rj);
-    `powers[k - r]` holds [s_k0, ..., s_k(r-1)], one power added at a time."""
+    `powers[k - r]` holds [s_k0, ..., s_k(r-1)], one power added at a time.
+    Every s_kj, like every form, is a (num, den) pair in lowest terms."""
     r = len(taut)
     form = base_gb.form
     powers = [taut]
+    unit = ({(0,) * len(base_gb.sig): 1}, 1)
 
-    def add_form(out, prefix, mono, c):
-        """out += c NF_base(mono), each monomial keyed as prefix + it:
-        () for base terms, (j,) for terms of zeta^j."""
-        num, den = form(mono) or ({mono: 1}, 1)
-        if den != 1:
-            c = exact_div(c, den)
-        for x, d in num.items():
-            key = prefix + x
-            out[key] = out.get(key, 0) + c * d
+    def forms_of(items):
+        """The (num, den) pair of the sum over items (prefix, a, b) of
+        NF_base(a b), a and b (num, den) pairs of base polynomials, each
+        monomial keyed as prefix + it: () for base terms, (j,) for terms of
+        zeta^j.  The forms are brought to the lcm of their denominators."""
+        found = []
+        for prefix, (a, da), (b, db) in items:
+            for x, c in a.items():
+                for y, d in b.items():
+                    m = mono_mul(x, y)
+                    num, den = form(m) or ({m: 1}, 1)
+                    found.append((prefix, c * d, da * db * den, num))
+        den = lcm(*[f[2] for f in found])
+        out = {}
+        get = out.get
+        for prefix, c, d, num in found:
+            c *= den // d
+            for x, v in num.items():
+                key = prefix + x
+                out[key] = get(key, 0) + c * v
+        return _reduced(_nonzero(out), den)
 
     def power(k):
         while len(powers) <= k - r:
             last = powers[-1]
-            if not any(last):
+            if not any(num for num, _ in last):
                 return last  # zeta^k is 0, and so is every higher power
-            carry = last[r - 1]
-            nxt = []
-            for j in range(r):
-                s = dict(last[j - 1]) if j else {}
-                for x, c in carry.items():
-                    for y, d in taut[j].items():
-                        add_form(s, (), mono_mul(x, y), c * d)
-                nxt.append(_stored(s))
-            powers.append(nxt)
+            shifted = [({}, 1)] + last[:-1]  # zeta times the s_k(j-1)
+            powers.append([forms_of([((), s, unit), ((), last[-1], t)])
+                           for s, t in zip(shifted, taut)])
         return powers[k - r]
 
     def rule(mono):
@@ -531,19 +541,10 @@ def _bundle_rule(base_gb: GroebnerBasis, taut):
             if f is None:
                 return None
             return {(k,) + x: c for x, c in f[0].items()}, f[1]
-        out = {}
-        for j, s in enumerate(power(k)):
-            for t, c in s.items():
-                add_form(out, (j,), mono_mul(t, m), c)
-        return _cleared(out)
+        return forms_of([((j,), s, ({m: 1}, 1))
+                         for j, s in enumerate(power(k))])
 
     return rule
-
-
-def _stored(terms: dict) -> dict:
-    """The nonzero terms, each coefficient in stored form."""
-    return {m: c if type(c) is int else coefficient(c)
-            for m, c in terms.items() if c}
 
 
 def relative_canonical(pb: ChowRing) -> ChowClass:

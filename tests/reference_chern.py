@@ -118,3 +118,18 @@ def chi_of_character(ring, ch):
                           [ring.cls(c) for c in ring.tangent_chern])
     mixed = ch * todd_class(tangent)
     return ring.integrate(ring.cls(mixed.rep.homogeneous_part(ring.dim)))
+
+
+def twist(e, d):
+    """e tensor the line bundle with first Chern class d, through the
+    character: ch(E x L) = ch(E) exp(d), then Newton back to the c_i."""
+    ring = e.ring
+    return chern_from_character(ring, chern_character(e) * exp_class(d))
+
+
+def dual(e):
+    """The dual through the character: ch_k(E^dual) = (-1)^k ch_k(E)."""
+    ring = e.ring
+    parts = graded_parts(chern_character(e), ring.dim)
+    return chern_from_character(
+        ring, sum(((-1) ** k * p for k, p in enumerate(parts)), ring.zero()))

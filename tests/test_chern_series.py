@@ -4,10 +4,14 @@
 ring's dimension, and reduces once per returned class.  On random bundles
 and classes over the catalog rings, a projective bundle and a product ring,
 every function here must return the classes that `reference_chern` gets by
-reducing every partial sum and product.
+reducing every partial sum and product; the kernel's twist and dual must
+also match the reference's, which go through the character instead.
+`chern_from_character` must invert `chern_character` on Chern classes
+with denominators.
 """
 
 import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -128,7 +132,7 @@ def test_power_sums_and_character_match_stepwise(data, name):
     e = data.draw(bundle(name))
     ring = e.ring
     ps = bundles._power_sums(e)
-    assert [ring.cls(Poly(ring.sig, p)) for p in ps[1:]] == \
+    assert [ring.cls(Poly(ring.sig, *p)) for p in ps[1:]] == \
         ref.power_sums(e, ring.dim)
     assert bundles.chern_character(e) == ref.chern_character(e)
 
@@ -141,6 +145,37 @@ def test_chern_from_character_matches_stepwise(data, name):
     ring = ch.ring
     assert bundles.chern_from_character(ring, ch) == \
         ref.chern_from_character(ring, ch)
+
+
+@pytest.mark.parametrize("name", RINGS)
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_twist_and_dual_match_stepwise(data, name):
+    e = data.draw(bundle(name))
+    d = data.draw(graded_class(name, 1))
+    assert bundles.twist(e, d) == ref.twist(e, d)
+    assert bundles.dual(e) == ref.dual(e)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_character_round_trip_over_denominators(name):
+    """chern_from_character inverts chern_character on seeded bundles whose
+    Chern classes have denominators 2, 3 and 4, so that c_k's k! D^k
+    scaling meets denominators that do not cancel."""
+    ring, monos = ring_and_monomials(name)
+    rng = random.Random(32)
+    for den in (2, 3, 4):
+        for _ in range(3):
+            chern = []
+            for d in range(1, ring.dim + 1):
+                picks = rng.sample(monos[d], min(2, len(monos[d])))
+                chern.append(ring.cls(Poly(ring.sig, {
+                    m: Fraction(1 if (d, k) == (1, 0) else rng.randint(-3, 3),
+                                den) for k, m in enumerate(picks)})))
+            e = BundleClass(ring, rng.randint(-2, 5), chern)
+            assert e.c(1).rep.den == den
+            ch = bundles.chern_character(e)
+            assert bundles.chern_from_character(ring, ch) == e
 
 
 @pytest.mark.parametrize("name", RINGS)

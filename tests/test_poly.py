@@ -51,6 +51,14 @@ class TestGrammar:
         p = parse_poly("(x + y)*(x - y)", XYZ)
         assert p == parse_poly("x^2 - y^2", XYZ)
 
+    def test_products_of_literals_variables_and_powers(self):
+        x, y, z = (Poly.variable(XYZ, v) for v in "xyz")
+        # a literal p/q is one atom, so 2/3^2 is (2/3)^2
+        p = parse_poly("2^3*x*3/4*y^2*x - (x + y)^2*1/2*z + 0*z - x*2*x*3*y^2"
+                       " + 2/3^2*(x - y)", XYZ)
+        assert p == (6 * x * x * y * y - Fraction(1, 2) * (x + y) ** 2 * z
+                     - 6 * x * x * y * y + Fraction(4, 9) * (x - y))
+
     @pytest.mark.parametrize("bad", ["x +", "2**x", "x^", "(x", "x!", ""])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ParseError):

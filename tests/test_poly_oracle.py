@@ -7,13 +7,15 @@ by term, and leave the stored pair in lowest terms.  The draws include zero,
 constants, and numerators and denominators up to 10^6.  The exact gate
 still refuses floats and bools with TypeError, and two signatures still
 do not mix (ValueError).  Equality never raises: a bool or a float
-compares unequal to a Poly or a class, and a constant hashes like the
-number it equals.
+compares unequal to a Poly or a class, a constant hashes like the
+number it equals, and equal objects hash equal (a class never equals a
+raw Poly).
 
 The example budget is hypothesis's own; `--hypothesis-profile=ci` (see
 conftest.py) runs a larger, derandomized one.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -169,3 +171,30 @@ def test_a_constant_hashes_like_its_number(c):
         assert x == c and hash(x) == hash(c)
     assert len({c, p}) == 1 and len({c, ring.const(c)}) == 1
     assert hash(ring.var("h_3")) == hash(ring.var("h_3").rep)
+
+
+def test_equal_objects_hash_equal():
+    """a == b implies hash(a) == hash(b) on seeded classes of B, raw Polys
+    (reduced or not), their normal forms and numbers: a class never equals
+    a raw Poly, which it could only do after reducing it."""
+    rng = random.Random(32)
+    ring = catalog("B")
+    values = [0, 1, -2, Fraction(1, 2), Fraction(-7, 3)]
+    monos = [m for d in range(ring.dim + 2)
+             for m in monomials_of_degree(ring.sig, d)]
+    objects = list(values)
+    objects += [Poly.constant(ring.sig, c) for c in values]
+    objects += [ring.const(c) for c in values]
+    for _ in range(40):
+        terms = {m: Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                 for m in rng.sample(monos, rng.randint(1, 3))}
+        p = Poly(ring.sig, terms)
+        objects += [p, ring.cls(p), ring.cls(p).rep]
+    p = parse_poly("3*h_3^2", ring.sig)
+    x = ring.cls(p)
+    objects += [p, x]
+    assert x != p and p != x and len({x, p}) == 2
+    for a in objects:
+        for b in objects:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
