@@ -4,7 +4,8 @@ Each check re-derives one quantitative claim about the genus-9 Fano
 4-fold B and its surrounding geometry (the surface of lines, the
 incidence 4-fold, the Lagrangian Grassmannian, the rank-2 sheaf on P5)
 and records an exact-value transcript.  Checks are pure; for a fixed
-seed the transcript is reproduced byte for byte.
+seed the transcript is reproduced byte for byte, whichever process runs
+each of a check's parts.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .poly import Poly, Signature, coefficient, parse_poly
@@ -25,7 +26,7 @@ from .bundles import (BundleClass, chern_character, chern_from_character,
                       segre_component, twist, whitney_quotient)
 from . import bott
 from .sl2 import SL2Rep, euler_solve, monomial_section_count
-from . import pencil
+from . import pencil, workers
 
 DEFAULT_SEED = 20260826
 
@@ -68,18 +69,20 @@ class Recorder:
 
 class Check:
     """A registered check: its `section` is "1".."4" or "all", `ref` a
-    one-line statement of the claim, and `fn` the body run with a seed and
-    a Recorder."""
+    one-line statement of the claim, and `parts` its bodies, in transcript
+    order, each run with a seed and a Recorder of its own.  Most checks
+    have one part; a check with independent long pieces has one part per
+    piece, so that a runner can spread them over processes."""
 
-    __slots__ = ("name", "section", "ref", "slow", "fn")
+    __slots__ = ("name", "section", "ref", "slow", "parts")
 
     def __init__(self, name: str, section: str, ref: str, slow: bool,
-                 fn: Callable[[int, Recorder], None]):
+                 *parts: Callable[[int, Recorder], None]):
         self.name = name
         self.section = section
         self.ref = ref
         self.slow = slow
-        self.fn = fn
+        self.parts = parts
 
 
 class CheckResult:
@@ -730,18 +733,22 @@ def _suite_pfaffian(rng: random.Random) -> int:
     return bad
 
 
-def _check_property_suites(seed: int, rec: Recorder) -> None:
-    suites = (("ring axioms and grammar round-trip", _suite_ring_axioms),
-              ("normal-form idempotence and multiplicativity",
-               _suite_normal_form),
-              ("Whitney and Segre round-trips", _suite_whitney_segre),
-              ("Clebsch-Gordan dimension multiplicativity",
-               _suite_clebsch_gordan),
-              ("Pfaffian squared equals determinant", _suite_pfaffian))
-    for offset, (label, suite) in enumerate(suites):
+SUITES = (("ring axioms and grammar round-trip", _suite_ring_axioms),
+          ("normal-form idempotence and multiplicativity", _suite_normal_form),
+          ("Whitney and Segre round-trips", _suite_whitney_segre),
+          ("Clebsch-Gordan dimension multiplicativity", _suite_clebsch_gordan),
+          ("Pfaffian squared equals determinant", _suite_pfaffian))
+
+
+def _suite_part(offset: int) -> Callable[[int, Recorder], None]:
+    """Suite number `offset` as a part: it runs on Random(seed + offset)."""
+    label, suite = SUITES[offset]
+
+    def part(seed: int, rec: Recorder) -> None:
         failures = suite(random.Random(seed + offset))
         rec.expect("%s: failures over %d instances" % (label, SUITE_SIZE),
                    failures, 0)
+    return part
 
 
 # --------------------------------------------------------------------------
@@ -852,7 +859,7 @@ REGISTRY: Dict[str, Check] = _registry(
     Check("property-suites", "all",
           "five seeded property suites, 200 instances each: ring axioms, "
           "normal forms, Whitney/Segre, Clebsch-Gordan, Pfaffians", False,
-          _check_property_suites),
+          *[_suite_part(offset) for offset in range(len(SUITES))]),
 )
 
 
@@ -907,24 +914,75 @@ def select_checks(names: Optional[Sequence[str]] = None,
     return chosen
 
 
-def run_check(check: Check, seed: int = DEFAULT_SEED) -> CheckResult:
-    if isinstance(check, str):
-        check = get_check(check)
+def _run_part(body, seed: int) -> tuple:
+    """(lines, verdicts, failures, error line or None, seconds) of one
+    part, run in this process with a Recorder of its own."""
     rec = Recorder()
+    error = None
     start = time.perf_counter()
     try:
-        check.fn(seed, rec)
+        body(seed, rec)
     except Exception as exc:
-        # a body that did not finish decided nothing, so it cannot pass
-        rec.fail("ERROR %s: %s" % (type(exc).__name__, exc))
+        error = "ERROR %s: %s" % (type(exc).__name__, exc)
+    return (rec.lines, rec.verdicts, rec.failures, error,
+            time.perf_counter() - start)
+
+
+# the outcome of a part whose worker died before reporting it
+_LOST = ([], 0, 0, "ERROR LostWorker: the process running this part exited "
+         "without a result", 0.0)
+
+
+def _result(check: Check, seed: int, outcomes) -> CheckResult:
+    """A check's result from its parts' outcomes, taken in order up to the
+    first part that raised: the transcript is their lines, and millis the
+    sum of their times."""
+    lines: List[str] = []
+    verdicts = failures = 0
+    seconds = 0.0
+    for part_lines, part_verdicts, part_failures, error, secs in outcomes:
+        lines += part_lines
+        verdicts += part_verdicts
+        failures += part_failures
+        seconds += secs
+        if error is not None:
+            # a body that did not finish decided nothing, so it cannot pass
+            lines.append(error)
+            failures += 1
+            break
     else:
-        if not rec.verdicts:
-            rec.fail("FAIL no claim or expectation was recorded")
-    millis = int((time.perf_counter() - start) * 1000)
+        if not verdicts:
+            lines.append("FAIL no claim or expectation was recorded")
+            failures += 1
     return CheckResult(check.name, check.section, check.ref, check.slow,
-                       seed, rec.failures == 0, rec.lines, millis)
+                       seed, failures == 0, lines, int(seconds * 1000))
+
+
+def run_check(check: Check, seed: int = DEFAULT_SEED) -> CheckResult:
+    """Run one check's parts in order, in this process; a part that raises
+    is the last one run."""
+    if isinstance(check, str):
+        check = get_check(check)
+    return _result(check, seed,
+                   (_run_part(body, seed) for body in check.parts))
 
 
 def run_checks(checks: Sequence[Check],
                seed: int = DEFAULT_SEED) -> List[CheckResult]:
-    return sorted((run_check(c, seed) for c in checks), key=lambda r: r.name)
+    """Run the checks' parts on every CPU this process may use, and return
+    the checks' results sorted by name.  Each result is the one run_check
+    gives, apart from millis; a part whose worker died fails its check."""
+    jobs = [partial(_run_part, body, seed)
+            for check in checks for body in check.parts]
+    # a check is split because its parts are long: claimed first, they
+    # leave the short parts to fill in around them
+    split = [len(check.parts) > 1 for check in checks for _ in check.parts]
+    done = workers.run(jobs, sorted(range(len(jobs)),
+                                    key=lambda i: not split[i]))
+    results, first = [], 0
+    for check in checks:
+        last = first + len(check.parts)
+        results.append(_result(check, seed, (done.get(i, _LOST)
+                                             for i in range(first, last))))
+        first = last
+    return sorted(results, key=lambda r: r.name)

@@ -1070,9 +1070,12 @@ class GroebnerBasis:
 
 
 def monomials_of_degree(sig: Signature, degree: int):
-    """All monomials of exact weighted degree, in a deterministic order."""
+    """All monomials of exact weighted degree, in a deterministic order;
+    none below degree 0."""
     n = len(sig)
     out = []
+    if degree < 0:
+        return out
 
     def rec(i: int, remaining: int, acc):
         if i == n:

@@ -15,7 +15,7 @@ from math import gcd
 
 import pytest
 
-from chowcalc import checks, cli, linalg, poly, rings
+from chowcalc import checks, cli, linalg, poly, rings, workers
 from chowcalc.poly import Poly, Signature, coefficient, exact_div
 
 XY = Signature.make([("x", 1), ("y", 1)])
@@ -49,8 +49,11 @@ def built_polys(monkeypatch):
     return seen
 
 
-def test_full_run_stores_canonical_coefficients(built_polys, capsys):
-    # rebuild the catalog so that its bases are built under observation
+def test_full_run_stores_canonical_coefficients(built_polys, capsys,
+                                                 monkeypatch):
+    # one worker, so that every Poly of the run is built in this process,
+    # and a rebuilt catalog, so that its bases are built under observation
+    monkeypatch.setattr(workers, "cpus", lambda: 1)
     rings.catalog.cache_clear()
     checks._ring.cache_clear()
     assert cli.main(["run", "--all", "--slow"]) == 0

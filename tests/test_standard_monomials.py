@@ -53,6 +53,15 @@ def test_degree_by_degree_equals_the_full_enumeration(name):
         len(full_enumeration(gb, d)) for d in range(top + 1)]
 
 
+@pytest.mark.parametrize("name", CATALOG + tuple(
+    name for name in BUILDERS if name not in CATALOG))
+def test_no_monomial_has_a_negative_degree(name):
+    gb, _ = basis_of(name)
+    for degree in (-1, -2, -7):
+        assert monomials_of_degree(gb.sig, degree) == []
+        assert gb.standard_monomials(degree) == []
+
+
 def test_a_high_degree_first_fills_every_lower_one():
     gb = fresh_copy(catalog("G26").gb)
     assert gb.standard_monomials(9) == full_enumeration(gb, 9) == []
